@@ -68,7 +68,6 @@ func run() int {
 		addrFlag    = flag.String("addr", "127.0.0.1:8404", "listen address (host:port; port 0 picks a free port)")
 		storeFlag   = flag.String("store", "simstore", "result store directory (created if missing)")
 		workersFlag = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shardsFlag  = flag.Int("shards", 1, "goroutines per simulation's cycle loop (deterministic SM/LLC sharding, byte-identical statistics); multiplies with -workers, so size shards*workers against the core count")
 		maxFlag     = flag.Int("max-entries", 0, "LRU bound on stored results and checkpoint blobs together (0 = unbounded)")
 		maxBytes    = flag.Int64("max-store-bytes", 0, "LRU bound on total store bytes, results plus checkpoint blobs (0 = unbounded)")
 		ckptFlag    = flag.Bool("checkpoints", false, "bank GPU state snapshots (warmup end, kernel boundaries) in the store and resume runs from matching prefixes; statistics stay byte-identical, only wall-clock time changes")
@@ -80,7 +79,6 @@ func run() int {
 		hbFlag      = flag.Duration("heartbeat", time.Second, "gossip heartbeat period; suspicion and death verdicts scale from it (4x and 12x)")
 		selfFlag    = flag.String("self", "", "this daemon's advertised base URL within the cluster (default: http://<resolved listen address>)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this separate address (e.g. 127.0.0.1:6060); empty disables them")
-		compatFlag  = flag.Bool("metrics-compat", false, "additionally export pre-rename metric series (simd_checkpoint_hits and friends without the _total suffix) for unmigrated dashboards")
 		logFormat   = flag.String("log-format", "text", "structured access-log format on stderr: text, json, or off")
 	)
 	flag.Parse()
@@ -130,20 +128,18 @@ func run() int {
 	}
 
 	srv, err := server.New(server.Config{
-		Store:         store,
-		Workers:       *workersFlag,
-		Shards:        *shardsFlag,
-		JobTTL:        *jobTTLFlag,
-		MaxJobs:       *maxJobsFlag,
-		Checkpoints:   *ckptFlag,
-		Self:          self,
-		Peers:         peers,
-		Seeds:         seeds,
-		Gossip:        gossip,
-		Replicas:      *replFlag,
-		Heartbeat:     *hbFlag,
-		MetricsCompat: *compatFlag,
-		Logger:        logger,
+		Store:       store,
+		Workers:     *workersFlag,
+		JobTTL:      *jobTTLFlag,
+		MaxJobs:     *maxJobsFlag,
+		Checkpoints: *ckptFlag,
+		Self:        self,
+		Peers:       peers,
+		Seeds:       seeds,
+		Gossip:      gossip,
+		Replicas:    *replFlag,
+		Heartbeat:   *hbFlag,
+		Logger:      logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simd: %v\n", err)

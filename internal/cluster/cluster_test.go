@@ -101,42 +101,6 @@ func TestRankedBalance(t *testing.T) {
 	}
 }
 
-func TestMembership(t *testing.T) {
-	m, err := New("127.0.0.1:8405/", threePeers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Self() != "http://127.0.0.1:8405" {
-		t.Errorf("self = %q", m.Self())
-	}
-	if m.Len() != 3 {
-		t.Errorf("len = %d, want 3", m.Len())
-	}
-	owned := 0
-	for i := 0; i < 300; i++ {
-		fp := fpOf(i)
-		if got, want := m.Owner(fp), Ranked(fp, threePeers)[0]; got != want {
-			t.Fatalf("owner mismatch: %s vs %s", got, want)
-		}
-		if m.IsOwner(fp) {
-			owned++
-		}
-	}
-	if owned == 0 || owned == 300 {
-		t.Errorf("self owns %d/300 runs, want a proper subset", owned)
-	}
-
-	if _, err := New("http://10.0.0.1:1", threePeers); err == nil {
-		t.Error("self outside the peer list was accepted")
-	}
-	if _, err := New("", threePeers); err == nil {
-		t.Error("empty self was accepted")
-	}
-	if _, err := New("http://a:1", nil); err == nil {
-		t.Error("empty peer list was accepted")
-	}
-}
-
 func TestRankedKeyDeterministic(t *testing.T) {
 	a := RankedKey("figure/3", threePeers)
 	b := RankedKey("figure/3", threePeers)

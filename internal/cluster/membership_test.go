@@ -242,7 +242,7 @@ func TestEpochStableWithoutChurn(t *testing.T) {
 }
 
 // TestStaticMode pins membership: no gossip merges, constant epoch, and
-// the placement API matches the legacy Membership ranking.
+// the placement API matches Ranked over the static list.
 func TestStaticMode(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
 	n, err := NewNode(NodeConfig{Self: "http://a:1", Static: peers})

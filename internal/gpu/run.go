@@ -151,13 +151,6 @@ func (g *GPU) runLoop(cycles uint64, kernels int) {
 // the schedule given by kernelLen/nextKernel (relative to g.runStart).
 func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int)) {
 	loopStart := g.cycle
-	if g.eng != nil {
-		// The sharded engine's workers live for the duration of the loop:
-		// spawned once here, synchronized per cycle by a spin barrier, and
-		// stopped on exit so idle GPUs hold no goroutines.
-		g.eng.start()
-		defer g.eng.stop()
-	}
 	for g.cycle < end {
 		g.cycle++
 		g.modeCycles[g.mode]++
@@ -205,15 +198,11 @@ func (g *GPU) loopUntil(end, kernelLen, nextKernel uint64, onBoundary func(m int
 	}
 	// One atomic add per loop entry, not per cycle: the cycle-throughput
 	// telemetry costs nothing on the hot path and never touches RunStats.
-	g.countLoopCycles(g.cycle - loopStart)
+	cyclesSimulated.Add(g.cycle - loopStart)
 }
 
 // step advances every component by one cycle.
 func (g *GPU) step() {
-	if g.eng != nil {
-		g.stepSharded()
-		return
-	}
 	stalled := g.reconfigActive || g.cycle < g.stallUntil
 	if stalled {
 		g.stallCycles++

@@ -6,7 +6,7 @@
 // Design constraints (see DESIGN.md "Observability"):
 //
 //   - stdlib only, so every subsystem (queue, store, checkpoint manager,
-//     cluster forwarder, shard engine) can report into it without pulling a
+//     cluster forwarder, cycle loop) can report into it without pulling a
 //     client library into the simulator.
 //   - Instruments are nil-safe: a nil *Counter/*Gauge/*Histogram/*Span
 //     no-ops, so components can be instrumented unconditionally and pay one
@@ -36,7 +36,6 @@ const (
 	typeCounter   = "counter"
 	typeGauge     = "gauge"
 	typeHistogram = "histogram"
-	typeUntyped   = "untyped"
 )
 
 var (
@@ -288,15 +287,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{s: v.f.child(values)}
 }
 
-// AttachFunc registers a sampling-func series under the given label values
-// (e.g. per-shard counters maintained as atomics elsewhere).
-func (v *CounterVec) AttachFunc(fn func() float64, values ...string) {
-	if v == nil {
-		return
-	}
-	v.f.child(values).fn = fn
-}
-
 // Gauge registers an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.newFamily(name, help, typeGauge, nil)
@@ -355,14 +345,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return &Histogram{f: v.f, s: v.f.child(values)}
 }
 
-// Untyped registers a legacy series rendered with TYPE untyped; the
-// -metrics-compat flag uses it to keep renamed series available one release
-// under their old names.
-func (r *Registry) Untyped(name, help string, fn func() float64) {
-	f := r.newFamily(name, help, typeUntyped, nil)
-	f.child(nil).fn = fn
-}
-
 // FamilyNames returns every registered metric name, sorted. The Grafana
 // dashboard test uses it to assert the dashboard only references exported
 // series.
@@ -419,7 +401,7 @@ func (f *family) render(b *strings.Builder) {
 			f.renderHistogram(b, s)
 		default:
 			v := math.Float64frombits(s.gauge.Load())
-			if f.typ == typeCounter || f.typ == typeUntyped {
+			if f.typ == typeCounter {
 				v = float64(s.count.Load())
 			}
 			if s.fn != nil {

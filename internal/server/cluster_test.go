@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -159,6 +160,47 @@ func TestClusterForwardsToOwner(t *testing.T) {
 		if i != owner && n != 0 {
 			t.Errorf("daemon %d executed %d runs after repeat, want 0", i, n)
 		}
+	}
+}
+
+// TestBatchForwardsToTwoRemoteOwners: one batch whose specs rank to two
+// different non-self owners is forwarded to both concurrently. Each owner
+// executes its own spec, and the entry daemon waits on both job handles.
+// Under -race this checks that the concurrent per-owner forwarding
+// goroutines share no unsynchronized request state.
+func TestBatchForwardsToTwoRemoteOwners(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	const entry = 0
+
+	// Pick one spec owned by each non-entry member.
+	var specs []api.Spec
+	owners := map[int]bool{}
+	for seed := int64(1); len(specs) < 2 && seed < 100; seed++ {
+		spec := tinySpec(fmt.Sprintf("two-owners-%d", seed), seed)
+		if o := tc.ownerIndex(t, spec); o != entry && !owners[o] {
+			owners[o] = true
+			specs = append(specs, spec)
+		}
+	}
+	if len(specs) != 2 {
+		t.Fatalf("found specs for %d remote owners, want 2", len(specs))
+	}
+
+	resp, err := client.New(tc.urls[entry]).Runs(context.Background(), api.RunRequest{Specs: specs}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		owner := tc.ownerIndex(t, specs[i])
+		if r.Status != api.StatusDone || r.Stats == nil {
+			t.Fatalf("spec %d: status=%s error=%q", i, r.Status, r.Error)
+		}
+		if r.Peer != tc.urls[owner] {
+			t.Errorf("spec %d answered by %s, want owner %s", i, r.Peer, tc.urls[owner])
+		}
+	}
+	if got := executedCounts(tc); got[entry] != 0 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("executed counts %v, want [0 1 1]", got)
 	}
 }
 

@@ -39,10 +39,8 @@ const (
 	failoverCancelled   = "owner_cancelled"
 )
 
-// newServerMetrics builds the registry for one Server. compat additionally
-// re-exports the pre-rename checkpoint series (simd_checkpoint_hits etc.,
-// now *_total) under their old names for one release.
-func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
+// newServerMetrics builds the registry for one Server.
+func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg}
 
@@ -122,16 +120,10 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 		})
 	reg.CounterFunc("simd_cluster_forwarded_total", "Runs forwarded to a rendezvous-ranked member.",
 		func() float64 { return float64(atomic.LoadUint64(&s.forwarded)) })
-	// Failovers are labeled by cause; the unlabeled aggregate rides behind
-	// -metrics-compat for dashboards that still query the old name.
 	m.failoverReasons = reg.CounterVec("simd_cluster_failovers_total",
 		"Forwards that fell back down the ranking, by cause.", "reason")
 	for _, reason := range []string{failoverUnreachable, failoverBadAnswer, failoverCancelled} {
 		m.failoverReasons.With(reason) // pre-seed so every series renders from 0
-	}
-	if compat {
-		reg.Untyped("simd_cluster_failovers", "Deprecated: use simd_cluster_failovers_total{reason}.",
-			func() float64 { return float64(atomic.LoadUint64(&s.failovers)) })
 	}
 	m.forward = reg.HistogramVec("simd_cluster_forward_seconds",
 		"Round-trip time of forwarding runs to a peer (submit only; simulation time is spent polling the returned job handle).",
@@ -151,8 +143,7 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 	m.replLag = reg.Histogram("simd_replication_lag_seconds",
 		"Lag between a local store write and each replica's acknowledgement.", nil)
 
-	// Checkpoint manager: renamed to counter convention (*_total); the old
-	// suffix-less names ride behind -metrics-compat for one release.
+	// Checkpoint manager.
 	if s.ckpt != nil {
 		reg.CounterFunc("simd_checkpoint_hits_total", "Runs resumed from a stored state prefix.",
 			func() float64 { return float64(s.ckpt.ManagerStats().Hits) })
@@ -163,36 +154,13 @@ func newServerMetrics(s *Server, shards int, compat bool) *serverMetrics {
 		reg.CounterFunc("simd_checkpoint_errors_total", "Checkpoint failures swallowed (degraded to cold execution).",
 			func() float64 { return float64(s.ckpt.ManagerStats().Errors) })
 		s.ckpt.Instrument(reg)
-		if compat {
-			reg.Untyped("simd_checkpoint_hits", "Deprecated: use simd_checkpoint_hits_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Hits) })
-			reg.Untyped("simd_checkpoint_saves", "Deprecated: use simd_checkpoint_saves_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Saves) })
-			reg.Untyped("simd_checkpoint_bytes", "Deprecated: use simd_checkpoint_bytes_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Bytes) })
-			reg.Untyped("simd_checkpoint_errors", "Deprecated: use simd_checkpoint_errors_total.",
-				func() float64 { return float64(s.ckpt.ManagerStats().Errors) })
-		}
 	}
 
-	// GPU engine telemetry: process-wide pre-allocated atomics sampled here
-	// at scrape time (see internal/gpu/telemetry.go). rate() over the cycle
-	// counters is the simulator's cycles/sec throughput.
-	cycles := reg.CounterVec("simd_gpu_cycles_total",
-		"Simulated cycles advanced, by cycle-loop variant.", "loop")
-	cycles.AttachFunc(func() float64 { return float64(gpu.ReadTelemetry().SerialCycles) }, "serial")
-	cycles.AttachFunc(func() float64 { return float64(gpu.ReadTelemetry().ShardedCycles) }, "sharded")
-	if shards > 1 {
-		spins := reg.CounterVec("simd_gpu_shard_barrier_spins_total",
-			"Spin-barrier wait iterations per shard slot (load-imbalance signal).", "shard")
-		if shards > gpu.MaxTelemetryShards {
-			shards = gpu.MaxTelemetryShards
-		}
-		for k := 0; k < shards; k++ {
-			k := k
-			spins.AttachFunc(func() float64 { return float64(gpu.BarrierSpins(k)) }, strconv.Itoa(k))
-		}
-	}
+	// GPU engine telemetry: a process-wide pre-allocated atomic sampled here
+	// at scrape time (see internal/gpu/telemetry.go). rate() over it is the
+	// simulator's cycles/sec throughput.
+	reg.CounterFunc("simd_gpu_cycles_total", "Simulated cycles advanced.",
+		func() float64 { return float64(gpu.CyclesSimulated()) })
 
 	// Request-path instruments, written by the middleware and the queue.
 	m.httpRequests = reg.CounterVec("simd_http_requests_total",

@@ -90,12 +90,6 @@ type Config struct {
 	Store *simstore.Store
 	// Workers bounds concurrent simulations; 0 uses GOMAXPROCS.
 	Workers int
-	// Shards runs each simulation's cycle loop on this many goroutines
-	// (deterministic SM/LLC partitioning; statistics are byte-identical to
-	// serial execution, so shard count never enters cache identity). It
-	// multiplies with Workers — size Shards*Workers against the core count.
-	// 0 or 1 keeps each run serial.
-	Shards int
 
 	// JobTTL evicts finished jobs older than this (0 keeps them forever);
 	// MaxJobs caps the retained job count (0 = unbounded). cmd/simd passes
@@ -143,11 +137,6 @@ type Config struct {
 	// completion (default 150ms).
 	RemotePoll time.Duration
 
-	// MetricsCompat additionally exports the pre-rename metric series
-	// (simd_checkpoint_hits and friends, without the _total counter suffix)
-	// under their old names, for dashboards that have not migrated yet.
-	MetricsCompat bool
-
 	// Logger, when non-nil, receives one structured access-log line per HTTP
 	// request (request ID, route pattern, status, duration). nil disables
 	// access logging; metrics are recorded either way.
@@ -175,7 +164,6 @@ type Server struct {
 	logger  *slog.Logger
 
 	forwarded   uint64 // atomic: specs sent to another ranked member
-	failovers   uint64 // atomic: forwards that fell back down the ranking
 	replicaHits uint64 // atomic: reads served from a non-owner's warm copy
 	remotePolls uint64 // atomic: job-handle poll round-trips
 	replPushed  uint64 // atomic: records+blobs pushed to replicas
@@ -206,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 		s.ckpt = checkpoint.NewManager(cfg.Store)
 		cp = s.ckpt
 	}
-	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.Shards, cfg.JobTTL, cfg.MaxJobs, cp)
+	s.queue = NewQueue(cfg.Store, cfg.Workers, cfg.JobTTL, cfg.MaxJobs, cp)
 	dynamic := len(cfg.Seeds) > 0 || cfg.Gossip
 	if len(cfg.Peers) > 0 && dynamic {
 		s.queue.Close()
@@ -262,7 +250,7 @@ func New(cfg Config) (*Server, error) {
 	// Built last: the registry's sampling funcs close over the queue, the
 	// cluster view and the checkpoint manager assembled above.
 	s.logger = cfg.Logger
-	s.metrics = newServerMetrics(s, cfg.Shards, cfg.MetricsCompat)
+	s.metrics = newServerMetrics(s)
 	s.queue.Instrument(s.metrics.queueWait, s.metrics.runDuration, s.metrics.storeWrite)
 	if s.node != nil {
 		s.node.Start() // no-op in static mode
@@ -315,7 +303,6 @@ func (s *Server) otherMembers() []string {
 
 // failover counts one ranked-walk fallback, by cause.
 func (s *Server) failover(reason string, n int) {
-	atomic.AddUint64(&s.failovers, uint64(n))
 	if s.metrics != nil && s.metrics.failoverReasons != nil {
 		s.metrics.failoverReasons.With(reason).Add(uint64(n))
 	}
@@ -426,8 +413,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 	results := make([]api.RunResult, len(req.Specs))
 	handled := make([]bool, len(req.Specs))
+	// remotes[i] is spec i's forwarded job handle (zero unless it is still
+	// running on a member). Indexed by spec like results and handled, so the
+	// per-owner forwarding goroutines below write disjoint elements.
 	type remoteHandle struct{ peer, id string }
-	remotes := make(map[int]remoteHandle)
+	remotes := make([]remoteHandle, len(req.Specs))
 
 	if clustered {
 		members := s.node.Members()
@@ -584,6 +574,9 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		// simulation never pins a connection to its owner).
 		var remWG sync.WaitGroup
 		for i, h := range remotes {
+			if h.id == "" {
+				continue
+			}
 			remWG.Add(1)
 			go func(i int, h remoteHandle) {
 				defer remWG.Done()

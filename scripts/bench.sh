@@ -3,14 +3,9 @@
 # snapshot of ns/op, B/op, allocs/op and the custom figure metrics, so the
 # repository's performance trajectory is tracked in version control.
 #
-# Usage: scripts/bench.sh [--shard-scaling] [label]
+# Usage: scripts/bench.sh [label]
 #
 #   label               tag stored with the run (default: "snapshot")
-#   --shard-scaling     run only the shard-scaling sweep (the Figure 11
-#                       experiment at 1/2/4/8 cycle-loop shards per run) and
-#                       write it to BENCH_<YYYY-MM-DD>-shards.json, keeping
-#                       parallel-speedup snapshots separate from the serial
-#                       performance trajectory
 #
 # Environment overrides:
 #   BENCH_RE=regex      which benchmarks to run (default: all, -bench .)
@@ -32,18 +27,10 @@ cd "$(dirname "$0")/.."
 
 command -v jq >/dev/null || { echo "bench.sh: jq is required" >&2; exit 1; }
 
-default_re="."
-default_out="BENCH_$(date +%Y-%m-%d).json"
-if [ "${1:-}" = "--shard-scaling" ]; then
-	shift
-	default_re="BenchmarkShardScaling_Figure11"
-	default_out="BENCH_$(date +%Y-%m-%d)-shards.json"
-fi
-
 label="${1:-snapshot}"
-bench_re="${BENCH_RE:-$default_re}"
+bench_re="${BENCH_RE:-.}"
 benchtime="${BENCHTIME:-1x}"
-out="${OUT:-$default_out}"
+out="${OUT:-BENCH_$(date +%Y-%m-%d).json}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
