@@ -21,14 +21,6 @@
 //	simd -addr 127.0.0.1:8405 -store store-b -seeds http://127.0.0.1:8404
 //	simd -addr 127.0.0.1:8406 -store store-c -seeds http://127.0.0.1:8404
 //
-// The legacy static mode still works: share one -peers list (every member's
-// full set of base URLs, each daemon included) and skip -seeds. Static
-// clusters have no failure detection or replication — membership is exactly
-// the list.
-//
-//	simd -addr 127.0.0.1:8404 -store store-a -peers http://127.0.0.1:8404,http://127.0.0.1:8405
-//	simd -addr 127.0.0.1:8405 -store store-b -peers http://127.0.0.1:8404,http://127.0.0.1:8405
-//
 // Try it:
 //
 //	curl -s localhost:8404/healthz
@@ -73,9 +65,8 @@ func run() int {
 		ckptFlag    = flag.Bool("checkpoints", false, "bank GPU state snapshots (warmup end, kernel boundaries) in the store and resume runs from matching prefixes; statistics stay byte-identical, only wall-clock time changes")
 		jobTTLFlag  = flag.Duration("job-ttl", server.DefaultJobTTL, "how long finished jobs stay pollable in memory (0 = forever; results persist in the store regardless)")
 		maxJobsFlag = flag.Int("max-jobs", server.DefaultMaxJobs, "max finished jobs retained in memory (0 = unbounded)")
-		peersFlag   = flag.String("peers", "", "comma-separated base URLs of every cluster member, this daemon included (static membership; mutually exclusive with -seeds)")
 		seedsFlag   = flag.String("seeds", "", "comma-separated base URLs of running cluster members to join through (gossip membership; pass -seeds \"\" to bootstrap the first daemon)")
-		replFlag    = flag.Int("replicas", 2, "replication factor under gossip membership: each stored record and checkpoint blob is pushed to the top-K rendezvous-ranked members (<=1 disables replication)")
+		replFlag    = flag.Int("replicas", 2, "replication factor in a cluster: each stored record and checkpoint blob is pushed to the top-K rendezvous-ranked members (<=1 disables replication)")
 		hbFlag      = flag.Duration("heartbeat", time.Second, "gossip heartbeat period; suspicion and death verdicts scale from it (4x and 12x)")
 		selfFlag    = flag.String("self", "", "this daemon's advertised base URL within the cluster (default: http://<resolved listen address>)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this separate address (e.g. 127.0.0.1:6060); empty disables them")
@@ -112,20 +103,15 @@ func run() int {
 	if self == "" {
 		self = "http://" + ln.Addr().String()
 	}
-	peers := cluster.ParsePeers(*peersFlag)
 	seeds := cluster.ParsePeers(*seedsFlag)
 	// -seeds "" (explicitly set but empty) bootstraps a gossip cluster of
-	// one; an unset -seeds with no -peers is plain single-node operation.
+	// one; an unset -seeds is plain single-node operation.
 	gossip := len(seeds) > 0
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seeds" {
 			gossip = true
 		}
 	})
-	if gossip && len(peers) > 0 {
-		fmt.Fprintln(os.Stderr, "simd: -peers (static membership) and -seeds (gossip membership) are mutually exclusive")
-		return 1
-	}
 
 	srv, err := server.New(server.Config{
 		Store:       store,
@@ -134,7 +120,6 @@ func run() int {
 		MaxJobs:     *maxJobsFlag,
 		Checkpoints: *ckptFlag,
 		Self:        self,
-		Peers:       peers,
 		Seeds:       seeds,
 		Gossip:      gossip,
 		Replicas:    *replFlag,
@@ -150,11 +135,8 @@ func run() int {
 	// The startup line is machine-readable: scripts extract the URL to
 	// support -addr :0 (the CI smoke job does).
 	clusterNote := ""
-	switch {
-	case gossip:
+	if gossip {
 		clusterNote = fmt.Sprintf(", gossip cluster as %s (%d seeds, %d replicas)", srv.Self(), len(seeds), *replFlag)
-	case len(peers) > 0:
-		clusterNote = fmt.Sprintf(", cluster of %d as %s", len(peers), srv.Self())
 	}
 	fmt.Printf("simd: listening on http://%s (store %s, %d entries, %d workers%s)\n",
 		ln.Addr(), store.Dir(), store.Len(), srv.Workers(), clusterNote)

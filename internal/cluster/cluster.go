@@ -37,8 +37,9 @@ func Normalize(peer string) string {
 	return p
 }
 
-// ParsePeers splits a comma-separated peer list (the -peers flag syntax)
-// into normalized, deduplicated base URLs, preserving first-seen order.
+// ParsePeers splits a comma-separated peer list (the simd -seeds flag
+// syntax) into normalized, deduplicated base URLs, preserving first-seen
+// order.
 func ParsePeers(list string) []string {
 	var peers []string
 	seen := map[string]bool{}

@@ -38,7 +38,7 @@ func TestNormalize(t *testing.T) {
 }
 
 // TestRankedDeterministicAndOrderInsensitive: every member must compute the
-// same owner regardless of the order its -peers flag listed the members in.
+// same owner regardless of the order its membership view lists the members in.
 func TestRankedDeterministicAndOrderInsensitive(t *testing.T) {
 	shuffled := []string{threePeers[2], threePeers[0], threePeers[1]}
 	for i := 0; i < 200; i++ {

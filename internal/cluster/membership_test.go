@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -73,8 +74,13 @@ func TestJoinViaSeed(t *testing.T) {
 	if len(wantMembers) != 2 || !slicesEqual(wantMembers, gotMembers) {
 		t.Errorf("views diverge: a=%v b=%v", wantMembers, gotMembers)
 	}
-	if !a.IsOwner([32]byte{1}) && !b.IsOwner([32]byte{1}) {
-		t.Error("no member owns a fingerprint")
+	// The placement API is Ranked over the ACTIVE set, so both members
+	// agree on every owner.
+	fp := [32]byte{42}
+	for _, n := range []*Node{a, b} {
+		if want, got := Ranked(fp, n.Members()), n.Ranked(fp); !slicesEqual(want, got) {
+			t.Errorf("%s: Node.Ranked diverges from Ranked over Members: %v vs %v", n.Self(), got, want)
+		}
 	}
 }
 
@@ -241,42 +247,6 @@ func TestEpochStableWithoutChurn(t *testing.T) {
 	}
 }
 
-// TestStaticMode pins membership: no gossip merges, constant epoch, and
-// the placement API matches Ranked over the static list.
-func TestStaticMode(t *testing.T) {
-	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	n, err := NewNode(NodeConfig{Self: "http://a:1", Static: peers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Static() || n.Len() != 3 || n.Epoch() != 1 {
-		t.Fatalf("static node: static=%v len=%d epoch=%d", n.Static(), n.Len(), n.Epoch())
-	}
-	// Gossip about a fourth member must be ignored.
-	n.absorb(View{From: "http://d:4", Members: []Member{{Addr: "http://d:4", Status: StatusAlive}}}, true)
-	if n.Len() != 3 || n.Epoch() != 1 {
-		t.Fatalf("static membership moved: len=%d epoch=%d", n.Len(), n.Epoch())
-	}
-	fp := [32]byte{42}
-	want := Ranked(fp, peers)
-	got := n.Ranked(fp)
-	if !slicesEqual(want, got) {
-		t.Errorf("static ranking diverges from Ranked: %v vs %v", got, want)
-	}
-	// Self must be a member.
-	if _, err := NewNode(NodeConfig{Self: "http://x:9", Static: peers}); err == nil {
-		t.Error("NewNode accepted a self outside the static list")
-	}
-}
-
-// TestSeedsAndStaticExclusive guards the config surface.
-func TestSeedsAndStaticExclusive(t *testing.T) {
-	_, err := NewNode(NodeConfig{Self: "http://a:1", Seeds: []string{"http://b:2"}, Static: []string{"http://a:1"}})
-	if err == nil {
-		t.Fatal("NewNode accepted Seeds and Static together")
-	}
-}
-
 // TestRestartRejoins: a node that dies and comes back on the same address
 // (fresh incarnation) is re-absorbed despite the tombstone.
 func TestRestartRejoins(t *testing.T) {
@@ -354,4 +324,95 @@ func TestOnChangeFires(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnChange never fired on join")
 	}
+}
+
+// gossipPost serves one POST of body on n's gossip handler.
+func gossipPost(n *Node, body []byte) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, GossipPath, bytes.NewReader(body)))
+	return rr
+}
+
+// TestGossipRejectsInvalidRows: a row with an unknown status, or with an
+// incarnation too close to math.MaxInt64 to refute, never enters the table
+// and never overwrites a valid row; a claim about self at the ceiling
+// cannot wrap the node's own incarnation.
+func TestGossipRejectsInvalidRows(t *testing.T) {
+	const self, peer, ghost = "http://a:1", "http://b:2", "http://ghost:9"
+	cases := []struct {
+		name string
+		row  Member
+		// want is the status of row.Addr afterwards.
+		want Status
+	}{
+		{"unknown status", Member{Addr: ghost, Status: "bogus"}, "absent"},
+		{"empty status", Member{Addr: ghost}, "absent"},
+		{"incarnation at MaxInt64", Member{Addr: ghost, Incarnation: math.MaxInt64, Status: StatusAlive}, "absent"},
+		{"incarnation just past the ceiling", Member{Addr: ghost, Incarnation: maxIncarnation + 1, Status: StatusAlive}, "absent"},
+		{"incarnation at the ceiling", Member{Addr: ghost, Incarnation: maxIncarnation, Status: StatusAlive}, StatusAlive},
+		{"unknown status over a valid row", Member{Addr: peer, Incarnation: 6, Status: "bogus"}, StatusAlive},
+		{"self declared dead at MaxInt64", Member{Addr: self, Incarnation: math.MaxInt64, Status: StatusDead}, StatusAlive},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := NewNode(NodeConfig{Self: self})
+			if err != nil {
+				t.Fatal(err)
+			}
+			startInc := n.MemberEntries()[0].Incarnation
+			n.absorb(View{Members: []Member{{Addr: peer, Incarnation: 5, Status: StatusAlive}}}, false)
+			body, _ := json.Marshal(View{From: "http://c:3", Members: []Member{tc.row}})
+			if rr := gossipPost(n, body); rr.Code != http.StatusOK {
+				t.Fatalf("gossip POST = %d", rr.Code)
+			}
+			got := Status("absent")
+			for _, m := range n.MemberEntries() {
+				if m.Addr == tc.row.Addr {
+					got = m.Status
+					if m.Addr == self && m.Incarnation < startInc {
+						t.Errorf("self incarnation went backwards: %d -> %d", startInc, m.Incarnation)
+					}
+				}
+			}
+			if got != tc.want {
+				t.Errorf("%s status = %q, want %q (entries %v)", tc.row.Addr, got, tc.want, n.MemberEntries())
+			}
+			if tc.want == "absent" && n.Len() != 2 {
+				t.Errorf("active set = %v, want self and peer only", n.Members())
+			}
+		})
+	}
+}
+
+// FuzzGossipView feeds arbitrary bytes to the gossip handler. It must never
+// panic, never store a row with an unknown status, never wrap the node's
+// own incarnation, and add at most one row per row the view sent.
+func FuzzGossipView(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		n, err := NewNode(NodeConfig{Self: "http://self:1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(n.MemberEntries())
+		gossipPost(n, body)
+		sent := 0
+		var v View
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&v) == nil {
+			sent = len(v.Members)
+		}
+		entries := n.MemberEntries()
+		for _, m := range entries {
+			switch m.Status {
+			case StatusAlive, StatusSuspect, StatusDead, StatusLeft:
+			default:
+				t.Errorf("row %q stored with unknown status %q", m.Addr, m.Status)
+			}
+			if m.Addr == n.Self() && m.Incarnation <= 0 {
+				t.Errorf("self incarnation wrapped to %d", m.Incarnation)
+			}
+		}
+		if added := len(entries) - before; added > sent {
+			t.Errorf("view of %d rows added %d rows", sent, added)
+		}
+	})
 }

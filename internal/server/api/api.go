@@ -360,7 +360,7 @@ type Health struct {
 // ClusterPeer is one member's entry in a ClusterStatus: its address plus a
 // live health probe (Health is nil, and Error set, when the probe failed).
 // Status is the answering daemon's gossip view of the member (alive,
-// suspect, dead, left; empty on static or single-node clusters).
+// suspect, dead, left; empty on a single-node daemon).
 type ClusterPeer struct {
 	URL     string  `json:"url"`
 	Self    bool    `json:"self,omitempty"`
@@ -383,7 +383,7 @@ type ClusterStatus struct {
 
 // MemberEntry is one member in a MembershipView: its address and the
 // answering daemon's gossip verdict on it (alive, suspect, dead, left;
-// empty on static or single-node clusters).
+// empty on a single-node daemon).
 type MemberEntry struct {
 	Addr   string `json:"addr"`
 	Status string `json:"status,omitempty"`

@@ -94,7 +94,7 @@ func (p *Pool) Peers() []string {
 }
 
 // Epoch returns the membership epoch of the last successful refresh (0
-// before the first one, and always 0 for static/single-node clusters).
+// before the first one, and always 0 against a single-node daemon).
 func (p *Pool) Epoch() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -22,59 +21,12 @@ import (
 )
 
 // testCluster is an in-process simd cluster: n daemons with separate stores
-// sharing one membership list.
+// joined through gossip (see newDynamicCluster).
 type testCluster struct {
 	urls    []string
 	servers []*Server
 	stores  []*simstore.Store
 	https   []*http.Server
-}
-
-// newTestCluster spins up n daemons. Listeners are opened first so the full
-// membership (which every member needs at construction) is known up front.
-func newTestCluster(t *testing.T, n int) *testCluster {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	tc := &testCluster{}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		tc.urls = append(tc.urls, "http://"+ln.Addr().String())
-	}
-	for i := 0; i < n; i++ {
-		store, err := simstore.Open(t.TempDir(), simstore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(Config{
-			Store: store, Workers: 2,
-			Self: tc.urls[i], Peers: tc.urls,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(lns[i])
-		tc.servers = append(tc.servers, srv)
-		tc.stores = append(tc.stores, store)
-		tc.https = append(tc.https, hs)
-	}
-	t.Cleanup(func() {
-		for i := range tc.https {
-			tc.https[i].Close()
-			tc.servers[i].Close()
-		}
-	})
-	return tc
-}
-
-// kill shuts daemon i down (HTTP and queue), simulating a dead peer.
-func (tc *testCluster) kill(i int) {
-	tc.https[i].Close()
-	tc.servers[i].Close()
 }
 
 // ownerIndex resolves which daemon owns a wire spec.
@@ -110,7 +62,7 @@ func executedCounts(tc *testCluster) []uint64 {
 // once, on its rendezvous owner, and repeat submissions through any member
 // are forwarded byte-identical store hits.
 func TestClusterForwardsToOwner(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	spec := tinySpec("routed", 11)
@@ -169,7 +121,7 @@ func TestClusterForwardsToOwner(t *testing.T) {
 // Under -race this checks that the concurrent per-owner forwarding
 // goroutines share no unsynchronized request state.
 func TestBatchForwardsToTwoRemoteOwners(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	const entry = 0
 
 	// Pick one spec owned by each non-entry member.
@@ -212,7 +164,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 	wireOpts := api.FigureOptions{Quick: true, Cycles: 2_500, Warmup: 500}
 
@@ -288,7 +240,7 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 // TestClusterFailover: with a spec's owner dead, both entry paths — a POST
 // to a surviving daemon and a Pool submission — still complete the request.
 func TestClusterFailover(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	// Find a spec owned by daemon 2 so we can kill it.
@@ -302,7 +254,7 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatal("no spec owned by daemon 2 in 200 seeds")
 		}
 	}
-	tc.kill(2)
+	tc.crash(2)
 
 	// Server-side failover: the entry daemon cannot reach the dead owner
 	// and walks down the ranking — the run executes exactly once, on some
@@ -336,7 +288,7 @@ func TestClusterFailover(t *testing.T) {
 // TestClusterEndpoint: GET /v1/cluster reports full membership with health,
 // marks the answering daemon, and flags dead members as unhealthy.
 func TestClusterEndpoint(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	var st api.ClusterStatus
 	get := func() {
 		t.Helper()
@@ -372,7 +324,7 @@ func TestClusterEndpoint(t *testing.T) {
 		t.Error("no peer marked as self")
 	}
 
-	tc.kill(1)
+	tc.crash(1)
 	get()
 	for _, p := range st.Peers {
 		if p.URL == tc.urls[1] {
@@ -388,7 +340,7 @@ func TestClusterEndpoint(t *testing.T) {
 // TestForwardedHeaderStopsRouting: a forwarded submission executes where it
 // lands even on a non-owner, bounding every request to one hop.
 func TestForwardedHeaderStopsRouting(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	spec := tinySpec("hop", 21)
 	owner := tc.ownerIndex(t, spec)
 	entry := (owner + 1) % 3
@@ -459,7 +411,7 @@ func exputedSpecs(t *testing.T) []sweep.RunSpec {
 // against the entry daemon must still work (proxied one hop), keeping
 // every member a valid entry point for the whole job lifecycle.
 func TestClusterJobLookupProxied(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
 
 	spec := tinySpec("proxied", 31)
@@ -531,14 +483,14 @@ func TestClusterJobLookupProxied(t *testing.T) {
 	}
 }
 
-// TestClusterSelfMustBeMember: misconfigured membership fails fast.
+// TestClusterSelfMustBeMember: a gossip daemon must be a member of its own
+// view, so cluster mode without a self address fails fast.
 func TestClusterSelfMustBeMember(t *testing.T) {
 	store, err := simstore.Open(t.TempDir(), simstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err = New(Config{Store: store, Self: "http://10.9.9.9:1",
-		Peers: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}); err == nil {
-		t.Fatal("server accepted a self address outside its peer list")
+	if _, err = New(Config{Store: store, Gossip: true}); err == nil {
+		t.Fatal("server joined a gossip cluster without a self address")
 	}
 }

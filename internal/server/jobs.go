@@ -689,20 +689,21 @@ func (q *Queue) Stats() QueueStats {
 	return st
 }
 
-// RouteFunc lets the cluster layer intercept a figure's runs: it returns
-// (stats, cached, true, nil) when another daemon answered the spec,
-// (zero, false, true, err) when the owning daemon reported a genuine run
-// failure, and handled=false when the spec should execute locally (this
-// daemon owns it, no cluster is configured, or forwarding failed and local
-// execution is the failover).
-type RouteFunc func(ctx context.Context, key string, spec sweep.RunSpec) (stats gpu.RunStats, cached, handled bool, err error)
+// RouteFunc lets the cluster layer take a figure's runs. Given the whole
+// batch it returns one result per spec: done with statistics when the
+// cluster answered it, failed when its owner reported a genuine run
+// failure, and an empty Status when the spec should execute locally (this
+// daemon owns it, its owner cancelled it, or forwarding failed and local
+// execution is the failover). A nil slice leaves every spec to local
+// execution.
+type RouteFunc func(ctx context.Context, specs []sweep.RunSpec) []api.RunResult
 
 // storeExec is the sweep.Executor injected into figure harnesses: every
 // declared run goes through SubmitRun (store hit, in-flight dedup, or a new
 // job on the bounded pool), and completions are reported through the
-// harness's progress hook. In cluster mode the route hook first offers each
-// run to its rendezvous owner, so a figure's runs land on (and warm the
-// stores of) the hash-designated daemons. It mirrors the Runner contract:
+// harness's progress hook. In cluster mode the route hook first takes the
+// whole batch, so a figure's runs land on (and warm the stores of) the
+// hash-designated daemons. It mirrors the Runner contract:
 // positional results, partial results plus the lowest-index error on
 // failure.
 type storeExec struct {
@@ -733,50 +734,25 @@ func (e *storeExec) Run(ctx context.Context, specs []sweep.RunSpec) ([]sweep.Res
 		job *Job
 	}
 	var waits []pending
-	// In cluster mode, offer every spec to its remote owner concurrently
-	// up front: routing is handle-based (submit, then poll), so a routed
-	// run costs poll round-trips rather than a pinned connection, and the
-	// owners' own worker pools bound actual simulation load.
-	type routedResult struct {
-		stats   gpu.RunStats
-		cached  bool
-		handled bool
-		err     error
-	}
-	var routed []routedResult
+	var routed []api.RunResult
 	if e.route != nil {
-		routed = make([]routedResult, len(specs))
-		var wg sync.WaitGroup
-		for i, s := range specs {
-			wg.Add(1)
-			go func(i int, s sweep.RunSpec) {
-				defer wg.Done()
-				if ctx.Err() != nil {
-					return // unhandled; the loop below reports ctx.Err
-				}
-				var r routedResult
-				r.stats, r.cached, r.handled, r.err = e.route(ctx, s.Key, s)
-				routed[i] = r
-			}(i, s)
-		}
-		wg.Wait()
+		routed = e.route(ctx, specs)
 	}
-
 	for i, s := range specs {
 		results[i] = sweep.Result{Index: i, Key: s.Key}
 		if err := ctx.Err(); err != nil {
 			return results, err
 		}
-		if routed != nil && routed[i].handled {
-			if err := routed[i].err; err != nil {
-				results[i].Err = fmt.Errorf("sweep: run %q: %w", s.Key, err)
-			} else {
-				results[i].Stats = routed[i].stats
-				if routed[i].cached {
-					e.cachedRuns++
-				} else {
-					e.executedRuns++
-				}
+		if routed != nil && routed[i].Status != "" {
+			switch r := routed[i]; {
+			case r.Status == api.StatusFailed:
+				results[i].Err = fmt.Errorf("sweep: run %q: %s", s.Key, r.Error)
+			case r.Cached:
+				results[i].Stats = *r.Stats
+				e.cachedRuns++
+			default:
+				results[i].Stats = *r.Stats
+				e.executedRuns++
 			}
 			report(s.Key)
 			continue

@@ -44,48 +44,30 @@ func parseHexFP(s string) ([32]byte, error) {
 	return fp, nil
 }
 
-// probeWidth is how deep a read probes the ranking: the replication
-// factor plus one rank of churn headroom, capped by the member count.
-func (s *Server) probeWidth(members int) int {
-	w := s.replicas + 1
-	if w > members {
-		w = members
-	}
-	return w
-}
-
-// replicaRecord is a looked-up record in resolved (non-wire) form.
-type replicaRecord struct {
-	fp    [32]byte
-	key   string
-	spec  sweep.RunSpec
-	stats gpu.RunStats
-}
-
 // probeReplicas batch-probes the ranked members' local stores for every
-// unhandled fingerprintable spec, answering hits inline. A hit below rank
-// 0 is a replica hit and triggers an async read repair. Mutates handled
-// and results; no-op unless replication is on.
-func (s *Server) probeReplicas(ctx context.Context, wire []api.Spec, specs []sweep.RunSpec,
-	fps [][32]byte, haveFP, handled []bool, results []api.RunResult, members []string) {
+// unhandled fingerprinted spec in b, answering hits inline. The probe is
+// the replication factor plus one rank of churn headroom deep. A hit below
+// rank 0 is a replica hit and triggers an async read repair. No-op unless
+// replication is on.
+func (s *Server) probeReplicas(ctx context.Context, b *runBatch, members []string) {
 	if s.replicas <= 1 || len(members) <= 1 {
 		return
 	}
-	width := s.probeWidth(len(members))
+	width := min(s.replicas+1, len(members))
 	self := s.node.Self()
 	type target struct{ idx, pos int }
 	peerFPs := map[string][]string{}
 	peerTargets := map[string][]target{}
-	for i := range specs {
-		if handled[i] || !haveFP[i] {
+	for i := range b.specs {
+		if b.handled[i] || !b.haveFP[i] {
 			continue
 		}
-		ranked := cluster.Ranked(fps[i], members)
+		ranked := cluster.Ranked(b.fps[i], members)
 		for pos, p := range ranked[:width] {
 			if p == self {
 				continue
 			}
-			peerFPs[p] = append(peerFPs[p], simstore.Hex(fps[i]))
+			peerFPs[p] = append(peerFPs[p], simstore.Hex(b.fps[i]))
 			peerTargets[p] = append(peerTargets[p], target{i, pos})
 		}
 	}
@@ -118,11 +100,11 @@ func (s *Server) probeReplicas(ctx context.Context, wire []api.Spec, specs []swe
 			mu.Lock()
 			defer mu.Unlock()
 			for _, t := range targets {
-				rec, ok := found[simstore.Hex(fps[t.idx])]
+				rec, ok := found[simstore.Hex(b.fps[t.idx])]
 				if !ok {
 					continue
 				}
-				if b, dup := best[t.idx]; !dup || t.pos < b.pos {
+				if h, dup := best[t.idx]; !dup || t.pos < h.pos {
 					best[t.idx] = hit{t.pos, peer, rec}
 				}
 			}
@@ -131,83 +113,29 @@ func (s *Server) probeReplicas(ctx context.Context, wire []api.Spec, specs []swe
 	wg.Wait()
 
 	for i, h := range best {
-		stats := h.rec.Stats
-		results[i] = api.RunResult{
-			Key: wire[i].Key, Fingerprint: simstore.Hex(fps[i]),
-			Cached: true, Status: api.StatusDone, Stats: &stats, Peer: h.peer,
-		}
-		handled[i] = true
+		b.answer(i, h.rec.Stats, h.peer)
 		if h.pos > 0 {
 			atomic.AddUint64(&s.replicaHits, 1)
-			if spec, err := h.rec.Spec.ToRunSpec(); err == nil {
-				go s.readRepair(fps[i], replicaRecord{fps[i], h.rec.Key, spec, h.rec.Stats}, h.peer)
-			}
+			go s.readRepair(b.fps[i], h.rec, h.peer)
 		}
 	}
-}
-
-// lookupReplica is the single-spec probe used by figure routing: ask the
-// top-ranked members (minus self) for fp, favouring the lowest rank.
-func (s *Server) lookupReplica(ctx context.Context, fp [32]byte, ranked []string) (replicaRecord, int, bool) {
-	if s.replicas <= 1 || len(ranked) <= 1 {
-		return replicaRecord{}, 0, false
-	}
-	width := s.probeWidth(len(ranked))
-	self := s.node.Self()
-	hexFP := simstore.Hex(fp)
-	type hit struct {
-		pos int
-		rec api.StoredRecord
-	}
-	hits := make(chan hit, width)
-	var wg sync.WaitGroup
-	for pos, peer := range ranked[:width] {
-		if peer == self {
-			continue
-		}
-		wg.Add(1)
-		go func(pos int, peer string) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			resp, err := s.peerClient(peer).LookupRecords(pctx, api.LookupRequest{Fingerprints: []string{hexFP}})
-			if err != nil || len(resp.Records) == 0 {
-				return
-			}
-			if resp.Records[0].Fingerprint == hexFP {
-				hits <- hit{pos, resp.Records[0]}
-			}
-		}(pos, peer)
-	}
-	wg.Wait()
-	close(hits)
-	bestPos, found := -1, false
-	var bestRec api.StoredRecord
-	for h := range hits {
-		if !found || h.pos < bestPos {
-			bestPos, bestRec, found = h.pos, h.rec, true
-		}
-	}
-	if !found {
-		return replicaRecord{}, 0, false
-	}
-	spec, err := bestRec.Spec.ToRunSpec()
-	if err != nil {
-		spec = sweep.RunSpec{} // still servable; repair is skipped upstream
-	}
-	return replicaRecord{fp, bestRec.Key, spec, bestRec.Stats}, bestPos, true
 }
 
 // readRepair pushes a record found off-owner back onto the current top-K
 // ranked members (storing locally if this daemon is one of them), so
 // churn-displaced records migrate to their new owners on the read path.
-func (s *Server) readRepair(fp [32]byte, rec replicaRecord, source string) {
+func (s *Server) readRepair(fp [32]byte, rec api.StoredRecord, source string) {
 	if s.node == nil || s.replicas <= 1 {
 		return
 	}
-	// Never repair with a record whose spec does not hash to its claimed
-	// fingerprint (e.g. a lookup answer whose spec failed to parse).
-	if computed, err := simstore.Fingerprint(rec.spec.Canonical()); err != nil || computed != fp {
+	// Never repair with a record whose spec does not parse or does not
+	// hash to its claimed fingerprint.
+	spec, err := rec.Spec.ToRunSpec()
+	if err != nil {
+		return
+	}
+	spec = spec.Canonical()
+	if computed, err := simstore.Fingerprint(spec); err != nil || computed != fp {
 		return
 	}
 	members := s.node.Members()
@@ -219,16 +147,16 @@ func (s *Server) readRepair(fp [32]byte, rec replicaRecord, source string) {
 	self := s.node.Self()
 	wire := api.StoredRecord{
 		Fingerprint: simstore.Hex(fp),
-		Key:         rec.key,
-		Spec:        api.FromRunSpec(rec.spec.Canonical()),
-		Stats:       rec.stats,
+		Key:         rec.Key,
+		Spec:        api.FromRunSpec(spec),
+		Stats:       rec.Stats,
 	}
 	repaired := false
 	for _, t := range ranked[:k] {
 		switch t {
 		case self:
 			if _, ok := s.store.Get(fp); !ok {
-				s.store.Put(fp, rec.key, rec.spec.Canonical(), rec.stats)
+				s.store.Put(fp, rec.Key, spec, rec.Stats)
 				repaired = true
 			}
 		case source:

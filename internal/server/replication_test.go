@@ -67,8 +67,9 @@ func (tc *testCluster) addDynamic(t *testing.T, replicas int) int {
 
 // crash kills daemon i abruptly: the gossip loop and HTTP listener stop with
 // no farewell, like a killed process. Survivors must detect the death through
-// suspicion, not be told about it — unlike kill, which Stop()s the node and
-// gossips a graceful leave.
+// suspicion, not be told about it — unlike a bare Server.Close, which
+// gossips a graceful leave. A crashed owner therefore stays ranked until
+// its death verdict.
 func (tc *testCluster) crash(i int) {
 	tc.servers[i].node.Crash()
 	tc.https[i].Close()

@@ -6,9 +6,11 @@
 # DESIGN.md "Determinism-based result caching"). A quick figure is fetched
 # twice as well, asserting the repeat is fully cache-served.
 #
-# Phase 2 starts a two-daemon static cluster (-peers), POSTs the same spec
-# to both members, and asserts exactly one of them executed it — the other
-# answer is a forwarded, byte-identical cache hit from the rendezvous owner.
+# Phase 2 starts a two-daemon gossip cluster (the first with -seeds "", the
+# second seeded from it), waits until both see both members alive, POSTs the
+# same spec to both members, and asserts exactly one of them executed it —
+# the other answer is a forwarded, byte-identical cache hit from the
+# rendezvous owner.
 #
 # Phase 3 is the kill-the-owner drill on a gossip cluster (-seeds): a spec
 # is forwarded handle-based (the hop polls, it never pins a connection), the
@@ -58,6 +60,29 @@ wait_url() {
 # plain counters and labeled vecs like simd_cluster_failovers_total{reason=...}).
 msum() { curl -sf "$1/metrics" | awk "/^$2/ {s+=\$2} END {print s+0}"; }
 
+# members URL COND: count of rows in the daemon's gossip view whose status
+# matches the jq condition COND.
+routable='.status == "alive" or .status == "suspect"'
+members() {
+  curl -sf "$1/v1/cluster/membership" | jq "[.members[] | select($2)] | length"
+}
+# wait_members WANT COND URL...: wait until every daemon counts WANT members
+# matching COND.
+wait_members() {
+  local want=$1 cond=$2; shift 2
+  for _ in $(seq 1 100); do
+    local ok=1
+    for u in "$@"; do
+      [ "$(members "$u" "$cond" 2>/dev/null || echo 0)" = "$want" ] || { ok=""; break; }
+    done
+    [ -n "$ok" ] && return 0
+    sleep 0.1
+  done
+  echo "membership never converged to $want members ($cond)" >&2
+  for u in "$@"; do curl -s "$u/v1/cluster/membership" >&2 || true; echo >&2; done
+  return 1
+}
+
 ./smoke-simd -addr 127.0.0.1:0 -store "$store" > "$scratch/simd.log" 2>&1 &
 pids+=($!)
 url="$(wait_url "$scratch/simd.log")"
@@ -100,43 +125,15 @@ wait "${pids[0]}" 2>/dev/null || true
 echo
 echo "=== cluster phase: two daemons, one owner per spec ==="
 
-# Rendezvous membership must be known before either daemon starts, so pick
-# two free ports up front (bind-test via /dev/tcp; connection refused =
-# free). The tiny window between picking and listening is acceptable for a
-# smoke test.
-freeport() {
-  local p
-  while :; do
-    p=$(( (RANDOM % 20000) + 20000 ))
-    if ! (exec 3<>"/dev/tcp/127.0.0.1/$p") 2>/dev/null; then
-      echo "$p"
-      return
-    fi
-    exec 3>&- 2>/dev/null || true
-  done
-}
-pa=$(freeport)
-pb=$(freeport)
-while [ "$pb" = "$pa" ]; do pb=$(freeport); done
-url_a="http://127.0.0.1:$pa"
-url_b="http://127.0.0.1:$pb"
-peers="$url_a,$url_b"
-
 # -replicas 1: with replication on, the second member would hold a warm
 # copy and answer locally — this phase asserts the *forwarding* path.
-./smoke-simd -addr "127.0.0.1:$pa" -store "$store/cluster-a" -peers "$peers" -replicas 1 > "$scratch/simd-a.log" 2>&1 &
+./smoke-simd -addr 127.0.0.1:0 -store "$store/cluster-a" -seeds "" -replicas 1 > "$scratch/simd-a.log" 2>&1 &
 pid_a=$!; pids+=($pid_a)
-./smoke-simd -addr "127.0.0.1:$pb" -store "$store/cluster-b" -peers "$peers" -replicas 1 > "$scratch/simd-b.log" 2>&1 &
+url_a="$(wait_url "$scratch/simd-a.log")"
+./smoke-simd -addr 127.0.0.1:0 -store "$store/cluster-b" -seeds "$url_a" -replicas 1 > "$scratch/simd-b.log" 2>&1 &
 pid_b=$!; pids+=($pid_b)
-
-for member in "$url_a" "$url_b"; do
-  up=""
-  for _ in $(seq 1 50); do
-    curl -sf "$member/healthz" >/dev/null 2>&1 && { up=1; break; }
-    sleep 0.2
-  done
-  [ -n "$up" ] || { echo "cluster member $member never came up"; cat "$scratch/simd-a.log" "$scratch/simd-b.log"; exit 1; }
-done
+url_b="$(wait_url "$scratch/simd-b.log")"
+wait_members 2 '.status == "alive"' "$url_a" "$url_b"
 echo "cluster up at $url_a + $url_b"
 
 curl -sf "$url_a/v1/cluster" | jq -e '[.peers[] | select(.healthy)] | length == 2' >/dev/null \
@@ -210,26 +207,7 @@ url_2="$(wait_url "$scratch/seed-2.log")"
 pid_3=$!; pids+=($pid_3)
 url_3="$(wait_url "$scratch/seed-3.log")"
 
-# members URL: count of members the daemon's gossip view considers routable.
-members() {
-  curl -sf "$1/v1/cluster/membership" \
-    | jq '[.members[] | select(.status == "alive" or .status == "suspect" or .status == "")] | length'
-}
-wait_members() {
-  local want=$1; shift
-  for _ in $(seq 1 100); do
-    local ok=1
-    for u in "$@"; do
-      [ "$(members "$u" 2>/dev/null || echo 0)" = "$want" ] || { ok=""; break; }
-    done
-    [ -n "$ok" ] && return 0
-    sleep 0.1
-  done
-  echo "membership never converged to $want members" >&2
-  for u in "$@"; do curl -s "$u/v1/cluster/membership" >&2 || true; echo >&2; done
-  return 1
-}
-wait_members 3 "$url_1" "$url_2" "$url_3"
+wait_members 3 "$routable" "$url_1" "$url_2" "$url_3"
 echo "gossip cluster converged: 3 members, epoch $(curl -sf "$url_1/v1/cluster/membership" | jq .epoch)"
 
 # Find a spec owned by daemon 2 or 3, so POSTing it to daemon 1 exercises
@@ -275,7 +253,7 @@ echo "join a 4th daemon mid-run; nobody restarts"
 ./smoke-simd -addr 127.0.0.1:0 -store "$store/seed-4" -seeds "$url_1" -replicas 2 -heartbeat 100ms > "$scratch/seed-4.log" 2>&1 &
 pid_4=$!; pids+=($pid_4)
 url_4="$(wait_url "$scratch/seed-4.log")"
-wait_members 4 "$url_1" "$url_2" "$url_3" "$url_4"
+wait_members 4 "$routable" "$url_1" "$url_2" "$url_3" "$url_4"
 for p in $pid_1 $pid_2 $pid_3; do
   kill -0 "$p" 2>/dev/null || { echo "a pre-join daemon died during the join"; exit 1; }
 done
@@ -301,7 +279,7 @@ hits=$(( $(msum "${survivors[0]}" simd_cluster_replica_hits_total) + $(msum "${s
   || { echo "no simd_cluster_replica_hits_total recorded on any survivor"; exit 1; }
 
 echo "membership converges after the death"
-wait_members 3 "${survivors[0]}" "${survivors[1]}" "$url_4"
+wait_members 3 "$routable" "${survivors[0]}" "${survivors[1]}" "$url_4"
 [ "$(curl -sf "${survivors[0]}/metrics" | awk '/^simd_membership_size/ {print $2}')" = "3" ] \
   || { echo "simd_membership_size did not drop to 3"; exit 1; }
 
