@@ -65,7 +65,7 @@ func run() int {
 		progressFlag   = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 		memProfile     = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
-		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); requests route to each run's cluster owner and fail over past dead peers; -parallel/-workers then apply server-side")
+		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); the daemons route each run to its cluster owner and dead members are failed over in list order; -parallel/-workers then apply server-side")
 		checkpointsOn  = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
 		checkpointDir  = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
 		traceOut       = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
@@ -429,8 +429,9 @@ func progressLine(done, total int, key string) {
 }
 
 // remoteFigure generates one figure on the cluster with live progress
-// (client.Pool owns the routing, SSE streaming, polling fallback and peer
-// failover) and formats the outcome the way the local path does.
+// (client.Pool owns the SSE streaming, polling fallback and failover past
+// dead members; the daemon routes the figure's runs) and formats the
+// outcome the way the local path does.
 func remoteFigure(ctx context.Context, pool *client.Pool, key string, opts api.FigureOptions, progress func(*api.Progress)) (text, remark string, err error) {
 	st, peer, err := pool.FigureStream(ctx, key, opts, progress)
 	if err != nil {

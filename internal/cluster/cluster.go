@@ -9,8 +9,7 @@
 //
 // The package is deliberately dependency-free (stdlib only): the server
 // (internal/server) uses it to decide whether to execute or forward a
-// submission, and the client pool (internal/server/client) uses the same
-// ranking to route requests to owners directly.
+// submission. Clients do no placement; any member routes for them.
 package cluster
 
 import (
@@ -85,11 +84,4 @@ func Ranked(fp [32]byte, peers []string) []string {
 		return ranked[i] < ranked[j]
 	})
 	return ranked
-}
-
-// RankedKey ranks peers for an arbitrary string key (used for requests that
-// have no run fingerprint, like whole-figure generation) by hashing the key
-// first.
-func RankedKey(key string, peers []string) []string {
-	return Ranked(sha256.Sum256([]byte(key)), peers)
 }

@@ -100,14 +100,3 @@ func TestRankedBalance(t *testing.T) {
 		}
 	}
 }
-
-func TestRankedKeyDeterministic(t *testing.T) {
-	a := RankedKey("figure/3", threePeers)
-	b := RankedKey("figure/3", threePeers)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("RankedKey not deterministic")
-	}
-	if len(a) != 3 {
-		t.Errorf("ranked %d peers, want 3", len(a))
-	}
-}

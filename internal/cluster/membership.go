@@ -20,8 +20,8 @@ import (
 // suspect → dead on local timers, and refutes a wrongful suspicion by
 // bumping its incarnation. The ACTIVE set (alive + suspect) is what
 // routing ranks over; every change to it bumps a local, monotonically
-// increasing epoch so consumers (server routing, client pools) can detect
-// membership churn cheaply. Epochs are per-node observations, not
+// increasing epoch, exported on /metrics and the cluster endpoints so
+// operators can see membership churn cheaply. Epochs are per-node observations, not
 // consensus: two members may pass through different epoch numbers while
 // converging on the same set.
 

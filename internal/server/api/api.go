@@ -47,9 +47,9 @@ type Spec struct {
 	WarmupCycles  uint64 `json:"warmup_cycles,omitempty"`
 	Kernels       int    `json:"kernels,omitempty"`
 
-	// TracePath replays a recorded trace (a path on the server's
-	// filesystem) instead of synthetic workloads; TraceLoop selects the
-	// end-of-trace policy.
+	// TracePath replays a recorded trace (a regular file on the server's
+	// filesystem; anything else is a 400) instead of synthetic workloads;
+	// TraceLoop selects the end-of-trace policy.
 	TracePath string `json:"trace_path,omitempty"`
 	TraceLoop bool   `json:"trace_loop,omitempty"`
 }
@@ -166,8 +166,9 @@ const (
 )
 
 // IsTerminal reports whether a job status is final. It is the one shared
-// predicate — the server's queue, the client pool and pollers must agree,
-// or a late-added status would leave one of them waiting forever.
+// predicate — the server's queue, the client's figure stream and pollers
+// must agree, or a late-added status would leave one of them waiting
+// forever.
 func IsTerminal(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCancelled
 }
@@ -373,8 +374,8 @@ type ClusterPeer struct {
 // ClusterStatus is the body of GET /v1/cluster: the answering daemon's
 // membership view with per-peer store/queue stats. A single-node daemon
 // reports itself as the only member. Epoch is the answering daemon's local
-// membership epoch — it bumps exactly when the active member set changes,
-// so clients re-rank peers when they see it move (0 when not clustered).
+// membership epoch — it bumps exactly when the active member set changes
+// (0 when not clustered).
 type ClusterStatus struct {
 	Self  string        `json:"self,omitempty"`
 	Epoch uint64        `json:"epoch,omitempty"`
@@ -391,9 +392,9 @@ type MemberEntry struct {
 }
 
 // MembershipView is the body of GET /v1/cluster/membership: the raw
-// membership view with no health probes attached — cheap enough for
-// clients to poll and re-rank on. Epoch bumps exactly when the active
-// member set changes (0 when not clustered).
+// membership view with no health probes attached; client.Pool.Check reads
+// it to find the live members behind its seeds. Epoch bumps exactly when
+// the active member set changes (0 when not clustered).
 type MembershipView struct {
 	Epoch   uint64        `json:"epoch"`
 	Members []MemberEntry `json:"members"`

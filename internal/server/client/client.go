@@ -35,6 +35,17 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Code)
 }
 
+// statusError builds the *StatusError for a non-2xx answer, taking the
+// message from the API's JSON error body when there is one.
+func statusError(code int, body []byte) *StatusError {
+	se := &StatusError{Code: code}
+	var apiErr api.Error
+	if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
+		se.Msg = apiErr.Error
+	}
+	return se
+}
+
 // IsStatusError reports whether err is (or wraps) a daemon-answered HTTP
 // error rather than a transport failure.
 func IsStatusError(err error) bool {
@@ -97,12 +108,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, hdr
 		return fmt.Errorf("client: %s %s: read: %w", method, path, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		var apiErr api.Error
-		se := &StatusError{Code: resp.StatusCode}
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			se.Msg = apiErr.Error
-		}
-		return fmt.Errorf("client: %s %s: %w", method, path, se)
+		return fmt.Errorf("client: %s %s: %w", method, path, statusError(resp.StatusCode, data))
 	}
 	if out == nil {
 		return nil
@@ -290,12 +296,7 @@ func (c *Client) JobEvents(ctx context.Context, id string, fn func(api.Event) bo
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		se := &StatusError{Code: resp.StatusCode}
-		var apiErr api.Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			se.Msg = apiErr.Error
-		}
-		return fmt.Errorf("client: job events %s: %w", id, se)
+		return fmt.Errorf("client: job events %s: %w", id, statusError(resp.StatusCode, data))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20) // figure text rides in status events

@@ -7,13 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/server/api"
-	"repro/internal/simstore"
 )
 
 // TestWaitJobCancelMidPoll: cancelling the context between polls must stop
@@ -95,167 +95,119 @@ func fakeDaemon(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	return hs, &runs
 }
 
-// TestPoolRoutesToOwnerAndFailsOver: every spec goes to its rendezvous
-// owner while all peers are healthy; with the owner dead, the request lands
-// on the next-ranked peer instead of failing.
-func TestPoolRoutesToOwnerAndFailsOver(t *testing.T) {
+// TestPoolFailsOverInOrder: calls go to the first member while it answers;
+// once it dies the next member answers, and the dead one moves to the back
+// of the order so later calls try it last.
+func TestPoolFailsOverInOrder(t *testing.T) {
 	a, runsA := fakeDaemon(t)
 	b, runsB := fakeDaemon(t)
 	pool, err := NewPool([]string{a.URL, b.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spec := api.Spec{Key: "r", Benchmarks: []string{"VA"}, MeasureCycles: 3000, Seed: 1}
-	ranked := pool.rankedForSpec(spec)
-	if len(ranked) != 2 {
-		t.Fatalf("ranked %d peers, want 2", len(ranked))
-	}
-	resp, err := pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{spec}}, true)
-	if err != nil {
+	req := api.RunRequest{Specs: []api.Spec{{Key: "r", Benchmarks: []string{"VA"}, MeasureCycles: 3000, Seed: 1}}}
+	if _, err := pool.Runs(context.Background(), req, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Results[0].Peer; got != ranked[0] {
-		t.Errorf("spec answered by %s, want owner %s", got, ranked[0])
-	}
-	ownerRuns, otherRuns := runsA, runsB
-	if ranked[0] == cluster.Normalize(b.URL) {
-		ownerRuns, otherRuns = runsB, runsA
-	}
-	if ownerRuns.Load() != 1 || otherRuns.Load() != 0 {
-		t.Errorf("owner ran %d specs, other %d; want 1/0", ownerRuns.Load(), otherRuns.Load())
+	if runsA.Load() != 1 || runsB.Load() != 0 {
+		t.Errorf("first member ran %d specs, second %d; want 1/0", runsA.Load(), runsB.Load())
 	}
 
-	// Kill the owner: the same spec must fail over to the survivor.
-	if ranked[0] == cluster.Normalize(a.URL) {
-		a.Close()
-	} else {
-		b.Close()
+	// Several callers at once all fail over; the order stays consistent.
+	a.Close()
+	const callers = 4
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Runs(context.Background(), req, true); err != nil {
+				t.Errorf("failover request failed: %v", err)
+			}
+		}()
 	}
-	pool.HealthTTL = time.Nanosecond // forget the cached good probe
-	resp, err = pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{spec}}, true)
-	if err != nil {
-		t.Fatalf("failover request failed: %v", err)
+	wg.Wait()
+	if runsB.Load() != callers {
+		t.Errorf("after the first member died the second ran %d specs, want %d", runsB.Load(), callers)
 	}
-	if got := resp.Results[0].Peer; got != ranked[1] {
-		t.Errorf("after owner death spec answered by %s, want runner-up %s", got, ranked[1])
+	want := []string{cluster.Normalize(b.URL), cluster.Normalize(a.URL)}
+	if got := pool.Peers(); !reflect.DeepEqual(got, want) {
+		t.Errorf("order after failover = %v, want %v (dead member last)", got, want)
 	}
 }
 
-// TestPoolRankingMatchesCluster: the pool and the daemons must agree on
-// ownership (both defer to internal/cluster over the normalized peer list).
-func TestPoolRankingMatchesCluster(t *testing.T) {
-	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
-	pool, err := NewPool(peers)
+// TestPoolReturns4xxAtOnce: a member rejecting the request itself is an
+// answer, not a failure — the pool must not re-ask the next member.
+func TestPoolReturns4xxAtOnce(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(api.Error{Error: "bad spec"})
+	}))
+	t.Cleanup(bad.Close)
+	good, runs := fakeDaemon(t)
+	pool, err := NewPool([]string{bad.URL, good.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := api.Spec{Benchmarks: []string{"VA"}, MeasureCycles: 5000, Seed: 9}
-	rs, err := spec.ToRunSpec()
-	if err != nil {
-		t.Fatal(err)
+	_, err = pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{{Key: "r", Benchmarks: []string{"VA"}}}}, false)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("error = %v, want the member's 400", err)
 	}
-	fp, err := simstore.Fingerprint(rs)
-	if err != nil {
-		t.Fatal(err)
+	if runs.Load() != 0 {
+		t.Errorf("second member ran %d specs after a 400, want 0", runs.Load())
 	}
-	if got, want := pool.rankedForSpec(spec), cluster.Ranked(fp, peers); !reflect.DeepEqual(got, want) {
-		t.Errorf("pool ranking %v != cluster ranking %v", got, want)
+	if got := pool.Peers()[0]; got != cluster.Normalize(bad.URL) {
+		t.Errorf("a 400 demoted its member: order starts with %s", got)
 	}
 }
 
-// TestPoolMembershipRefresh: a pool seeded with one daemon adopts the full
-// member list from GET /v1/cluster/membership once the TTL lapses, drops
-// dead/left members, and records the epoch.
+// TestPoolMembershipRefresh: Check adopts the cluster's member list once
+// from GET /v1/cluster/membership on the first reachable seed — alive and
+// suspect members are added, dead and left ones are dropped — and a later
+// view with nothing routable changes nothing.
 func TestPoolMembershipRefresh(t *testing.T) {
 	a, _ := fakeDaemon(t)
 	b, _ := fakeDaemon(t)
+	const deadSeed = "http://127.0.0.1:1"
 	var view atomic.Pointer[api.MembershipView]
 	view.Store(&api.MembershipView{
 		Epoch: 7,
 		Members: []api.MemberEntry{
 			{Addr: cluster.Normalize(a.URL), Self: true, Status: "alive"},
 			{Addr: cluster.Normalize(b.URL), Status: "suspect"},
-			{Addr: "http://127.0.0.1:1", Status: "dead"},
+			{Addr: deadSeed, Status: "dead"},
 			{Addr: "http://127.0.0.1:2", Status: "left"},
 		},
 	})
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
+	})
 	mux.HandleFunc("GET /v1/cluster/membership", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(view.Load())
 	})
 	seed := httptest.NewServer(mux)
 	t.Cleanup(seed.Close)
 
-	pool, err := NewPool([]string{seed.URL})
+	pool, err := NewPool([]string{deadSeed, seed.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.MembershipTTL = time.Nanosecond
-	pool.maybeRefresh(context.Background())
-
-	want := []string{cluster.Normalize(a.URL), cluster.Normalize(b.URL)}
-	got := pool.Peers()
-	if len(got) != 2 || (got[0] != want[0] && got[0] != want[1]) {
-		t.Errorf("pool peers after refresh = %v, want %v (alive + suspect only)", got, want)
+	if err := pool.Check(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if pool.Epoch() != 7 {
-		t.Errorf("pool epoch = %d, want 7", pool.Epoch())
+	want := []string{cluster.Normalize(seed.URL), cluster.Normalize(a.URL), cluster.Normalize(b.URL)}
+	if got := pool.Peers(); !reflect.DeepEqual(got, want) {
+		t.Errorf("pool peers after Check = %v, want %v (reachable seed, then alive + suspect only)", got, want)
 	}
 
 	// A later view with nothing routable must not wipe the pool.
-	view.Store(&api.MembershipView{Epoch: 8, Members: []api.MemberEntry{{Addr: "http://127.0.0.1:1", Status: "dead"}}})
-	pool.mu.Lock()
-	pool.lastRefresh = time.Time{}
-	pool.mu.Unlock()
-	// The seed is no longer in the routing set, so refresh goes through a
-	// member; neither serves the endpoint, so the old set must survive.
-	pool.maybeRefresh(context.Background())
-	if got := pool.Peers(); len(got) != 2 {
-		t.Errorf("pool peers after failed refresh = %v, want the previous 2", got)
-	}
-}
-
-// TestPoolRunsPollsJobHandle: a waited Runs call submits without waiting
-// and polls the returned job handle to completion — the /v1/runs request
-// itself never blocks for the simulation.
-func TestPoolRunsPollsJobHandle(t *testing.T) {
-	var polls atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.Health{Status: "ok"})
-	})
-	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("wait") == "1" {
-			t.Error("pool submitted with wait=1; handle-based forwarding must not")
-		}
-		json.NewEncoder(w).Encode(api.RunResponse{Results: []api.RunResult{
-			{Key: "h", Status: api.StatusQueued, JobID: "job-1"},
-		}})
-	})
-	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := api.JobStatus{ID: r.PathValue("id"), Status: api.StatusRunning}
-		if polls.Add(1) >= 2 {
-			st.Status = api.StatusDone
-		}
-		json.NewEncoder(w).Encode(st)
-	})
-	hs := httptest.NewServer(mux)
-	t.Cleanup(hs.Close)
-
-	pool, err := NewPool([]string{hs.URL})
-	if err != nil {
+	view.Store(&api.MembershipView{Epoch: 8, Members: []api.MemberEntry{{Addr: "http://127.0.0.1:3", Status: "dead"}}})
+	if err := pool.Check(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pool.PollInterval = time.Millisecond
-	resp, err := pool.Runs(context.Background(), api.RunRequest{Specs: []api.Spec{{Key: "h", Benchmarks: []string{"VA"}, MeasureCycles: 3000}}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Status != api.StatusDone {
-		t.Errorf("result status = %s, want done", resp.Results[0].Status)
-	}
-	if polls.Load() < 2 {
-		t.Errorf("job handle polled %d times, want >= 2", polls.Load())
+	if got := pool.Peers(); !reflect.DeepEqual(got, want) {
+		t.Errorf("pool peers after an unroutable view = %v, want the previous %v", got, want)
 	}
 }

@@ -238,7 +238,8 @@ func TestClusterFigureByteIdenticalAndPlaced(t *testing.T) {
 }
 
 // TestClusterFailover: with a spec's owner dead, both entry paths — a POST
-// to a surviving daemon and a Pool submission — still complete the request.
+// to a surviving daemon and a Pool whose first member is the dead one —
+// still complete the request.
 func TestClusterFailover(t *testing.T) {
 	tc := newDynamicCluster(t, 3, 1)
 	ctx := context.Background()
@@ -270,9 +271,10 @@ func TestClusterFailover(t *testing.T) {
 		t.Errorf("survivor executions = %v, want exactly one total on daemons 0/1", got)
 	}
 
-	// Client-side failover: the pool skips the dead owner and the request
-	// completes on a survivor (a cache hit via daemon 0's store or a rerun).
-	pool, err := client.NewPool(tc.urls)
+	// Client-side failover: the dead daemon is listed first, so the pool's
+	// first attempt fails, it moves on to a survivor and the request
+	// completes there (a cache hit via daemon 0's store or a rerun).
+	pool, err := client.NewPool([]string{tc.urls[2], tc.urls[0], tc.urls[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +284,9 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if r := presp.Results[0]; r.Status != api.StatusDone || r.Stats == nil {
 		t.Fatalf("pool failover run: status=%s error=%q", r.Status, r.Error)
+	}
+	if peers := pool.Peers(); peers[len(peers)-1] != tc.urls[2] {
+		t.Errorf("pool order after failover = %v, want the dead daemon last", peers)
 	}
 }
 

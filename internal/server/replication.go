@@ -45,10 +45,10 @@ func parseHexFP(s string) ([32]byte, error) {
 }
 
 // probeReplicas batch-probes the ranked members' local stores for every
-// unhandled fingerprinted spec in b, answering hits inline. The probe is
-// the replication factor plus one rank of churn headroom deep. A hit below
-// rank 0 is a replica hit and triggers an async read repair. No-op unless
-// replication is on.
+// unhandled spec in b, answering hits inline. The probe is the replication
+// factor plus one rank of churn headroom deep. A hit below rank 0 is a
+// replica hit and triggers an async read repair. No-op unless replication
+// is on.
 func (s *Server) probeReplicas(ctx context.Context, b *runBatch, members []string) {
 	if s.replicas <= 1 || len(members) <= 1 {
 		return
@@ -59,7 +59,7 @@ func (s *Server) probeReplicas(ctx context.Context, b *runBatch, members []strin
 	peerFPs := map[string][]string{}
 	peerTargets := map[string][]target{}
 	for i := range b.specs {
-		if b.handled[i] || !b.haveFP[i] {
+		if b.handled[i] {
 			continue
 		}
 		ranked := cluster.Ranked(b.fps[i], members)

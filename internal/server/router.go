@@ -54,7 +54,6 @@ type runBatch struct {
 	wire    []api.Spec // what a forward sends
 	specs   []sweep.RunSpec
 	fps     [][32]byte
-	haveFP  []bool // false: fingerprinting failed; the local submit reports why
 	results []api.RunResult
 	handled []bool // answered by the router; the rest execute locally
 	// remotes[i] is spec i's forwarded job handle, set while the job is
@@ -65,23 +64,28 @@ type runBatch struct {
 // remoteHandle names a job on another member.
 type remoteHandle struct{ peer, id string }
 
-func newBatch(wire []api.Spec, specs []sweep.RunSpec) *runBatch {
+// newBatch fingerprints every spec. A spec that cannot be fingerprinted (a
+// trace_path that is missing or not a regular file) fails the batch: every
+// member would reject it alike, so it is the caller's error, not a reason
+// to try another member.
+func newBatch(wire []api.Spec, specs []sweep.RunSpec) (*runBatch, error) {
 	n := len(specs)
 	b := &runBatch{
 		wire:    wire,
 		specs:   specs,
 		fps:     make([][32]byte, n),
-		haveFP:  make([]bool, n),
 		results: make([]api.RunResult, n),
 		handled: make([]bool, n),
 		remotes: make([]remoteHandle, n),
 	}
 	for i := range specs {
-		if fp, err := simstore.Fingerprint(specs[i]); err == nil {
-			b.fps[i], b.haveFP[i] = fp, true
+		fp, err := simstore.Fingerprint(specs[i])
+		if err != nil {
+			return nil, fmt.Errorf("spec %d: %v", i, err)
 		}
+		b.fps[i] = fp
 	}
-	return b
+	return b, nil
 }
 
 // answer records a store hit (this daemon's or a ranked member's) as spec
@@ -100,12 +104,11 @@ func (b *runBatch) settle(i int, st api.JobStatus) {
 }
 
 // route is the one cluster read path, taken by POST /v1/runs and figure
-// jobs alike. Each fingerprinted spec is answered from the local store (the
-// owner's copy or a warm replica), else from a record probe across its
-// top-ranked members, else offered down its ranking by a handle-based
-// forward walk. Specs it leaves unhandled — this daemon's own, ones that
-// could not be fingerprinted, ones every remote candidate failed — execute
-// locally. A no-op on a single-node daemon.
+// jobs alike. Each spec is answered from the local store (the owner's copy
+// or a warm replica), else from a record probe across its top-ranked
+// members, else offered down its ranking by a handle-based forward walk.
+// Specs it leaves unhandled — this daemon's own, ones every remote
+// candidate failed — execute locally. A no-op on a single-node daemon.
 func (s *Server) route(ctx context.Context, b *runBatch) {
 	if s.node == nil {
 		return
@@ -113,9 +116,6 @@ func (s *Server) route(ctx context.Context, b *runBatch) {
 	members := s.node.Members()
 	self := s.node.Self()
 	for i := range b.specs {
-		if !b.haveFP[i] {
-			continue
-		}
 		if rec, ok := s.store.Get(b.fps[i]); ok {
 			b.answer(i, rec.Stats, self)
 			if len(members) > 1 && cluster.Ranked(b.fps[i], members)[0] != self {
@@ -139,7 +139,7 @@ func (s *Server) forwardWalk(ctx context.Context, b *runBatch, members []string)
 	next := make([]int, len(b.specs))
 	ranked := make([][]string, len(b.specs))
 	for i := range b.specs {
-		if b.haveFP[i] && !b.handled[i] {
+		if !b.handled[i] {
 			ranked[i] = cluster.Ranked(b.fps[i], members)
 		}
 	}
@@ -211,13 +211,7 @@ func (s *Server) forwardWalk(ctx context.Context, b *runBatch, members []string)
 // result.
 func (s *Server) submitLocal(b *runBatch, i int) (Submitted, error) {
 	key := b.wire[i].Key
-	var sub Submitted
-	var err error
-	if b.haveFP[i] {
-		sub, err = s.queue.SubmitRunFP(key, b.specs[i], b.fps[i])
-	} else {
-		sub, err = s.queue.SubmitRun(key, b.specs[i])
-	}
+	sub, err := s.queue.SubmitRunFP(key, b.specs[i], b.fps[i])
 	if err != nil {
 		return sub, err
 	}
@@ -301,7 +295,7 @@ func (s *Server) waitRemoteJob(ctx context.Context, peer, id string) (*api.JobSt
 // fail identically. A run the router left to this daemon, or one its owner
 // cancelled (not a property of the spec), comes back with an empty Status
 // and the figure executes it locally, as does every run when the daemon is
-// single-node (nil result).
+// single-node or a run cannot be fingerprinted (nil result).
 func (s *Server) routeFigure(ctx context.Context, specs []sweep.RunSpec) []api.RunResult {
 	if s.node == nil {
 		return nil // single-node: every run executes locally
@@ -310,7 +304,10 @@ func (s *Server) routeFigure(ctx context.Context, specs []sweep.RunSpec) []api.R
 	for i, spec := range specs {
 		wire[i] = api.FromRunSpec(spec)
 	}
-	b := newBatch(wire, specs)
+	b, err := newBatch(wire, specs)
+	if err != nil {
+		return nil // the local executor reports the unfingerprintable run
+	}
 	s.route(ctx, b)
 	s.awaitRemotes(ctx, b)
 	if ctx.Err() != nil {

@@ -329,10 +329,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // maxRequestBytes bounds request bodies; batch specs are small.
 const maxRequestBytes = 16 << 20
 
-// handleRuns implements POST /v1/runs in four stages: decode the batch,
-// route it through the cluster (any daemon is a valid entry point), submit
-// what the router left to the local queue (store hits answer inline, misses
-// are deduplicated against in-flight jobs), and — with ?wait=1 — wait until
+// handleRuns implements POST /v1/runs in four stages: decode and
+// fingerprint the batch (a spec that fails either is a 400), route it
+// through the cluster (any daemon is a valid entry point), submit what the
+// router left to the local queue (store hits answer inline, misses are
+// deduplicated against in-flight jobs), and — with ?wait=1 — wait until
 // every job, local or forwarded, finishes so the response carries every
 // result. A forwarded request skips routing and executes where it lands,
 // bounding every submission to one hop.
@@ -347,8 +348,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	b, err := newBatch(wire, specs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	ctx := r.Context()
-	b := newBatch(wire, specs)
 	if r.Header.Get(api.ForwardedHeader) == "" {
 		s.route(ctx, b)
 		if ctx.Err() != nil {
@@ -736,9 +741,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMembership implements GET /v1/cluster/membership: the raw gossip
-// view with no health probes — cheap enough for client pools to poll on a
-// short TTL and re-rank when the epoch moves. Unlike /v1/cluster it costs
-// no cross-member round-trips.
+// view with no health probes. client.Pool.Check reads it once to learn the
+// live members behind its seeds. Unlike /v1/cluster it costs no
+// cross-member round-trips.
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	view := api.MembershipView{}
 	if s.node == nil {

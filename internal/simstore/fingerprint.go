@@ -57,8 +57,8 @@ const SimVersion = "repro-sim/1"
 //     so renaming a trace file preserves hits and editing one changes them.
 //
 // The error is non-nil only when a trace file named by the spec cannot be
-// read. Fingerprints are stable across processes and platforms; golden
-// values are pinned in testdata/fingerprints.golden.
+// read or is not a regular file. Fingerprints are stable across processes
+// and platforms; golden values are pinned in testdata/fingerprints.golden.
 func Fingerprint(spec sweep.RunSpec) ([32]byte, error) {
 	c := spec.Canonical()
 	if c.TracePath != "" {
@@ -80,17 +80,37 @@ func Fingerprint(spec sweep.RunSpec) ([32]byte, error) {
 // store filename and in the HTTP API).
 func Hex(fp [32]byte) string { return hex.EncodeToString(fp[:]) }
 
+// fileDigest hashes a regular file's content. Anything else is refused
+// before it is read: opening a FIFO blocks until a writer appears, and a
+// device can stream forever. The mode is checked before the open and again
+// on the opened file, in case the path was swapped in between.
 func fileDigest(path string) ([]byte, error) {
+	if err := regularFile(os.Stat(path)); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	if err := regularFile(f.Stat()); err != nil {
+		return nil, err
+	}
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
 		return nil, err
 	}
 	return h.Sum(nil), nil
+}
+
+func regularFile(fi os.FileInfo, err error) error {
+	if err != nil {
+		return err
+	}
+	if !fi.Mode().IsRegular() {
+		return fmt.Errorf("%s: not a regular file (mode %s)", fi.Name(), fi.Mode().Type())
+	}
+	return nil
 }
 
 // writeCanonical streams a deterministic, self-delimiting encoding of v.

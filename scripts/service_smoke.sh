@@ -10,7 +10,10 @@
 # second seeded from it), waits until both see both members alive, POSTs the
 # same spec to both members, and asserts exactly one of them executed it —
 # the other answer is a forwarded, byte-identical cache hit from the
-# rendezvous owner.
+# rendezvous owner. While the pair is up, `paperfigs -server` is pointed at
+# a dead URL first and member A second: the client pool must get past the
+# dead member, and the figure text (timing lines stripped) must equal a
+# local run of the same command.
 #
 # Phase 3 is the kill-the-owner drill on a gossip cluster (-seeds): a spec
 # is forwarded handle-based (the hop polls, it never pins a connection), the
@@ -189,6 +192,17 @@ cmp "$scratch/cl-a.stats" "$scratch/cl-b.stats" \
   || { echo "cluster answers differ between members"; exit 1; }
 [ "$(jq -r '.results[0].peer' "$scratch/cl-a.json")" = "$(jq -r '.results[0].peer' "$scratch/cl-b.json")" ] \
   || { echo "members disagree about the owner peer"; cat "$scratch/cl-a.json" "$scratch/cl-b.json"; exit 1; }
+
+echo "paperfigs -server with a dead first URL prints the local figure text"
+go build -o "$scratch/paperfigs" ./cmd/paperfigs
+figargs=(-figure 3 -quick -cycles 3000 -warmup 500 -progress=false)
+"$scratch/paperfigs" -server "http://127.0.0.1:1,$url_a" "${figargs[@]}" > "$scratch/pf-remote.txt" 2> "$scratch/pf-remote.err" \
+  || { echo "paperfigs -server failed:"; cat "$scratch/pf-remote.txt" "$scratch/pf-remote.err"; exit 1; }
+grep -q " via $url_a " "$scratch/pf-remote.txt" \
+  || { echo "figure not served by the live member:"; cat "$scratch/pf-remote.txt"; exit 1; }
+"$scratch/paperfigs" "${figargs[@]}" > "$scratch/pf-local.txt"
+diff <(grep -v '^\[' "$scratch/pf-remote.txt") <(grep -v '^\[' "$scratch/pf-local.txt") \
+  || { echo "paperfigs -server figure text differs from local output"; exit 1; }
 
 kill "$pid_a" "$pid_b" 2>/dev/null || true
 wait "$pid_a" "$pid_b" 2>/dev/null || true
