@@ -202,7 +202,7 @@ func BenchmarkFigure16_Sensitivity(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // checkpointSweepSpecs builds a small Figure-11-style sweep: a handful of
-// workloads under every LLC organization, all opted into checkpointing.
+// workloads under every LLC organization.
 func checkpointSweepSpecs(b *testing.B) []sweep.RunSpec {
 	b.Helper()
 	var specs []sweep.RunSpec
@@ -221,7 +221,6 @@ func checkpointSweepSpecs(b *testing.B) []sweep.RunSpec {
 				Seed:          1,
 				MeasureCycles: 15_000,
 				WarmupCycles:  6_000,
-				Checkpoint:    true,
 			})
 		}
 	}
@@ -259,7 +258,7 @@ func BenchmarkCheckpoint_ResumedSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		banked, err := sweep.ExecuteWith(s, mgr)
+		banked, err := sweep.ExecuteWith(s, mgr, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +269,7 @@ func BenchmarkCheckpoint_ResumedSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			if _, err := sweep.ExecuteWith(s, mgr); err != nil {
+			if _, err := sweep.ExecuteWith(s, mgr, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -307,7 +306,7 @@ func runOne(b *testing.B, abbr string, mutate func(*config.Config)) gpu.RunStats
 		b.Fatal(err)
 	}
 	g.Warmup(6_000)
-	return g.Run(15_000, spec.Kernels)
+	return g.Run(15_000, spec.Kernels, nil)
 }
 
 // BenchmarkAblation_InfiniteNoC quantifies how much of the shared-LLC

@@ -1,11 +1,13 @@
 // Command paperfigs regenerates the tables and figures of the paper's
 // evaluation section on the simulated GPU and prints them as text tables.
 //
-// Each figure decomposes into independent simulation runs, which the
-// internal/sweep engine fans across a worker pool: -parallel uses every CPU
-// core, -workers pins an exact pool size, and the default is serial
-// execution. Per-run seeding makes parallel output byte-identical to serial
-// output, so parallelism only changes the reported wall-clock time.
+// Each figure decomposes into independent simulation runs, which one
+// sweep.Runner fans across a worker pool: -workers pins the pool size, and
+// the default 0 uses one worker per CPU core (-workers 1 is serial). Per-run
+// seeding makes parallel output byte-identical to serial output, so
+// parallelism only changes the reported wall-clock time. The same Runner
+// carries -progress, -checkpoints and -trace-out, and serves both figures and
+// -scenarios.
 //
 // With -server, figure generation is farmed out to a running simd daemon
 // instead of simulating locally: the daemon's content-addressed result
@@ -15,8 +17,8 @@
 // Examples:
 //
 //	paperfigs -figure all
-//	paperfigs -figure all -parallel
-//	paperfigs -figures 11,12,13 -workers 4
+//	paperfigs -figure all -workers 1
+//	paperfigs -figure 11,12,13 -workers 4
 //	paperfigs -figure 7 -cycles 40000
 //	paperfigs -figure tables
 //	paperfigs -figure all -server http://127.0.0.1:8404
@@ -54,18 +56,16 @@ func main() { os.Exit(run()) }
 // every exit path, including errors; os.Exit would skip them.
 func run() int {
 	var (
-		figureFlag     = flag.String("figure", "all", "which figure to regenerate: 2, 3, 7, 11, 12, 13, 14, 15, 16, tables, all")
-		figuresFlag    = flag.String("figures", "", "comma-separated list of figures to regenerate (overrides -figure)")
+		figureFlag     = flag.String("figure", "all", "figures to regenerate: all, or a comma-separated list of 2, 3, 7, 11, 12, 13, 14, 15, 16, tables")
 		cyclesFlag     = flag.Uint64("cycles", 0, "override measured cycles per run (0 = default)")
 		warmupFlag     = flag.Uint64("warmup", 0, "override warm-up cycles per run (0 = default)")
 		seedFlag       = flag.Int64("seed", 1, "workload generator seed")
 		quickFlag      = flag.Bool("quick", false, "use the reduced quick-run scale")
-		parallelFlag   = flag.Bool("parallel", false, "fan each figure's runs across all CPU cores")
-		workersFlag    = flag.Int("workers", 0, "exact worker-pool size (implies -parallel; 0 = serial unless -parallel)")
+		workersFlag    = flag.Int("workers", 0, "worker-pool size for local runs (0 = one per CPU core, 1 = serial)")
 		progressFlag   = flag.Bool("progress", true, "report per-run progress on stderr (auto-disabled when stderr is not a terminal)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 		memProfile     = flag.String("memprofile", "", "write a heap profile (after the selected figures finish) to this file")
-		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); the daemons route each run to its cluster owner and dead members are failed over in list order; -parallel/-workers then apply server-side")
+		serverFlag     = flag.String("server", "", "farm figure generation out to simd daemon(s) at this comma-separated base URL list (e.g. http://127.0.0.1:8404,http://127.0.0.1:8405); the daemons route each run to its cluster owner and dead members are failed over in list order; the daemons' own -workers then bound execution")
 		checkpointsOn  = flag.Bool("checkpoints", false, "resume runs from checkpointed state prefixes (shared warmups, kernel boundaries) stored under -checkpoint-dir, and bank new ones; output is byte-identical, only wall-clock time changes")
 		checkpointDir  = flag.String("checkpoint-dir", ".repro-checkpoints", "directory of the checkpoint store used by -checkpoints")
 		traceOut       = flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's lifecycle phases (checkpoint probe, warmup, kernel segments, measure) to this file; load it in Perfetto or chrome://tracing. Local execution only")
@@ -74,6 +74,11 @@ func run() int {
 		scenarioMatrix = flag.Bool("scenario-matrix", false, "print the generated scenario × figure support matrix and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "paperfigs: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		return 2
+	}
 
 	if *listScenarios {
 		for _, sc := range scenario.Catalog() {
@@ -152,27 +157,21 @@ func run() int {
 	}
 	opt.Seed = *seedFlag
 
-	workers := 1
-	if *parallelFlag {
+	workers := *workersFlag
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if *workersFlag > 0 {
-		workers = *workersFlag
-	}
-	opt.Workers = workers
-
+	runner := &sweep.Runner{Workers: workers}
 	if showProgress {
-		opt.Progress = func(p sweep.Progress) {
+		runner.OnProgress = func(p sweep.Progress) {
 			progressLine(p.Done, p.Total, p.Key)
 		}
 	}
+	opt.Exec = runner
 
-	if *scenariosFlag != "" {
-		if *serverFlag != "" {
-			fmt.Fprintln(os.Stderr, "paperfigs: -scenarios runs locally; use the simd /v1/scenarios endpoint for remote execution")
-			return 1
-		}
-		return runScenarios(*scenariosFlag, workers, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
+	if *scenariosFlag != "" && *serverFlag != "" {
+		fmt.Fprintln(os.Stderr, "paperfigs: -scenarios runs locally; use the simd /v1/scenarios endpoint for remote execution")
+		return 1
 	}
 
 	// Run-lifecycle tracing wraps the local executor; with -server the
@@ -191,7 +190,7 @@ func run() int {
 		}
 		probe.Close()
 		traces = obs.NewTraceSet()
-		opt.TraceFor = func(key string) *obs.Span {
+		runner.TraceFor = func(key string) *obs.Span {
 			return traces.New(key).Start("run")
 		}
 	}
@@ -210,42 +209,39 @@ func run() int {
 			return 1
 		}
 		ckptMgr = checkpoint.NewManager(store)
-		opt.Checkpointer = ckptMgr
+		runner.Checkpointer = ckptMgr
 	}
 
-	selected := []string{*figureFlag}
-	if *figureFlag == "all" {
-		selected = nil
-		for _, f := range exp.Figures() {
-			selected = append(selected, f.Key)
+	// summarize prints the checkpoint summary and writes the trace after
+	// the figures or scenarios ran; it reports whether writing failed.
+	summarize := func() (failed bool) {
+		if ckptMgr != nil {
+			cs := ckptMgr.ManagerStats()
+			fmt.Printf("[checkpoints: %d runs resumed, %d snapshots saved, %.1f MiB written]\n",
+				cs.Hits, cs.Saves, float64(cs.Bytes)/(1<<20))
 		}
-	}
-	if *figuresFlag != "" {
-		selected = nil
-		for _, key := range strings.Split(*figuresFlag, ",") {
-			if key = strings.TrimSpace(key); key != "" {
-				selected = append(selected, key)
+		if traces != nil {
+			if err := writeChromeTrace(*traceOut, traces); err != nil {
+				fmt.Fprintf(os.Stderr, "paperfigs: -trace-out: %v\n", err)
+				return true
 			}
+			fmt.Printf("[trace: %d runs written to %s]\n", traces.Len(), *traceOut)
 		}
-		if len(selected) == 0 {
-			fmt.Fprintf(os.Stderr, "paperfigs: -figures %q selects no figures\n", *figuresFlag)
-			return 1
-		}
+		return false
 	}
-	// Validate the whole selection before simulating anything: a typo or a
-	// duplicate at the end of the list must not cost the runtime of the
-	// figures before it.
-	seen := map[string]bool{}
-	for _, key := range selected {
-		if _, ok := exp.FigureByKey(key); !ok {
-			fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", key)
-			return 1
+
+	if *scenariosFlag != "" {
+		code := runScenarios(*scenariosFlag, runner, *cyclesFlag, *warmupFlag, *seedFlag, showProgress)
+		if summarize() && code == 0 {
+			code = 1
 		}
-		if seen[key] {
-			fmt.Fprintf(os.Stderr, "paperfigs: figure %q requested twice\n", key)
-			return 1
-		}
-		seen[key] = true
+		return code
+	}
+
+	selected, err := selectFigures(*figureFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		return 1
 	}
 
 	// In -server mode every figure is generated by the daemon(s); verify at
@@ -314,18 +310,8 @@ func run() int {
 		mode = fmt.Sprintf("%d workers", workers)
 	}
 	fmt.Printf("[total: %.1fs, %s]\n", time.Since(totalStart).Seconds(), mode)
-	if ckptMgr != nil {
-		cs := ckptMgr.ManagerStats()
-		fmt.Printf("[checkpoints: %d runs resumed, %d snapshots saved, %.1f MiB written]\n",
-			cs.Hits, cs.Saves, float64(cs.Bytes)/(1<<20))
-	}
-	if traces != nil {
-		if err := writeChromeTrace(*traceOut, traces); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -trace-out: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("[trace: %d runs written to %s]\n", traces.Len(), *traceOut)
-		}
+	if summarize() {
+		failed++
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "paperfigs: %d of %d requested figures failed\n", failed, len(selected))
@@ -334,11 +320,43 @@ func run() int {
 	return 0
 }
 
+// selectFigures resolves -figure: "all", or a comma-separated list of figure
+// keys. The whole selection is validated before anything is simulated: a typo
+// or a duplicate at the end of the list must not cost the runtime of the
+// figures before it.
+func selectFigures(sel string) ([]string, error) {
+	var keys []string
+	if sel == "all" {
+		for _, f := range exp.Figures() {
+			keys = append(keys, f.Key)
+		}
+		return keys, nil
+	}
+	seen := map[string]bool{}
+	for _, key := range strings.Split(sel, ",") {
+		if key = strings.TrimSpace(key); key == "" {
+			continue
+		}
+		if _, ok := exp.FigureByKey(key); !ok {
+			return nil, fmt.Errorf("unknown figure %q", key)
+		}
+		if seen[key] {
+			return nil, fmt.Errorf("figure %q requested twice", key)
+		}
+		seen[key] = true
+		keys = append(keys, key)
+	}
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("-figure %q selects no figures", sel)
+	}
+	return keys, nil
+}
+
 // runScenarios resolves a -scenarios selection (a level, "all", or names) and
-// executes each recipe with the determinism gate on. Violations are printed
-// per scenario and make the exit status non-zero; -cycles/-warmup/-seed
-// override the level-derived scale.
-func runScenarios(sel string, workers int, cycles, warmup uint64, seed int64, showProgress bool) int {
+// executes each recipe on runner with the determinism gate on. Violations are
+// printed per scenario and make the exit status non-zero;
+// -cycles/-warmup/-seed override the level-derived scale.
+func runScenarios(sel string, runner *sweep.Runner, cycles, warmup uint64, seed int64, showProgress bool) int {
 	var list []scenario.Scenario
 	if sel == "all" {
 		list = scenario.Catalog()
@@ -373,17 +391,11 @@ func runScenarios(sel string, workers int, cycles, warmup uint64, seed int64, sh
 		if warmup > 0 {
 			scale.WarmupCycles = warmup
 		}
-		opts := scenario.RunOptions{
-			Workers:         workers,
+		rep, err := sc.Run(context.Background(), scenario.RunOptions{
+			Exec:            runner,
 			Scale:           &scale,
 			DeterminismGate: true,
-		}
-		if showProgress {
-			opts.Progress = func(p sweep.Progress) {
-				progressLine(p.Done, p.Total, p.Key)
-			}
-		}
-		rep, err := sc.Run(context.Background(), opts)
+		})
 		if err != nil {
 			if showProgress {
 				fmt.Fprintf(os.Stderr, "\r%-56s\r", "")

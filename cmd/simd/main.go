@@ -73,6 +73,11 @@ func run() int {
 		logFormat   = flag.String("log-format", "text", "structured access-log format on stderr: text, json, or off")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "simd: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		return 2
+	}
 
 	var logger *slog.Logger
 	switch *logFormat {

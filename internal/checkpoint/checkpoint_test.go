@@ -2,13 +2,17 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/simstore"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -122,9 +126,8 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 			}
 
 			mgr, store := newManager(t)
-			spec.Checkpoint = true
 
-			first, err := sweep.ExecuteWith(spec, mgr)
+			first, err := sweep.ExecuteWith(spec, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +140,7 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 				t.Fatalf("store holds %d blobs / %d bytes, want 3 blobs", ss.Blobs, ss.TotalBytes)
 			}
 
-			second, err := sweep.ExecuteWith(spec, mgr)
+			second, err := sweep.ExecuteWith(spec, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,13 +152,11 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 			// A longer measurement shares only the warmup prefix.
 			longer := spec
 			longer.MeasureCycles = spec.MeasureCycles + 3_000
-			longerCold := longer
-			longerCold.Checkpoint = false
-			cold2, err := sweep.Execute(longerCold)
+			cold2, err := sweep.Execute(longer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := sweep.ExecuteWith(longer, mgr)
+			warm, err := sweep.ExecuteWith(longer, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,8 +189,7 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 				t.Fatal(err)
 			}
 			mgr, store := newManager(t)
-			spec.Checkpoint = true
-			if _, err := sweep.ExecuteWith(spec, mgr); err != nil {
+			if _, err := sweep.ExecuteWith(spec, mgr, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -207,7 +207,7 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			resumed, err := sweep.ExecuteWith(spec, mgr)
+			resumed, err := sweep.ExecuteWith(spec, mgr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,13 +235,12 @@ func TestCorruptBlobSelfHeals(t *testing.T) {
 func TestRecordingDisablesCheckpointing(t *testing.T) {
 	spec := genRunSpec(t, config.LLCShared)
 	mgr, _ := newManager(t)
-	spec.Checkpoint = true
-	if _, err := sweep.ExecuteWith(spec, mgr); err != nil { // populate
+	if _, err := sweep.ExecuteWith(spec, mgr, nil); err != nil { // populate
 		t.Fatal(err)
 	}
 	rec := spec
 	rec.RecordPath = filepath.Join(t.TempDir(), "rec.trace")
-	if _, err := sweep.ExecuteWith(rec, mgr); err != nil {
+	if _, err := sweep.ExecuteWith(rec, mgr, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := mgr.ManagerStats(); st.Hits != 0 {
@@ -254,7 +253,6 @@ func TestRecordingDisablesCheckpointing(t *testing.T) {
 	}
 	recCold := rec
 	recCold.RecordPath = ""
-	recCold.Checkpoint = false
 	want, err := sweep.Execute(recCold)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +306,7 @@ func TestEncodeDecodeHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqualStats(t, g.Run(2_000, 1), restored.Run(2_000, 1), "run after decode+restore")
+	requireEqualStats(t, g.Run(2_000, 1, nil), restored.Run(2_000, 1, nil), "run after decode+restore")
 
 	if _, err := Decode([]byte("not a checkpoint\n{}\n")); err == nil {
 		t.Error("bad magic must be rejected")
@@ -335,9 +333,8 @@ func TestPrefixKeys(t *testing.T) {
 	same.MeasureCycles *= 7
 	same.Kernels = 1
 	same.Key = "renamed"
-	same.Checkpoint = true
 	if wk(base) != wk(same) {
-		t.Error("warmup key must ignore measurement window, kernel count, naming and the checkpoint flag")
+		t.Error("warmup key must ignore measurement window, kernel count and naming")
 	}
 
 	for name, mutate := range map[string]func(*sweep.RunSpec){
@@ -378,5 +375,72 @@ func TestPrefixKeys(t *testing.T) {
 	}
 	if wu := wk(base); wu == k1 {
 		t.Error("warmup and kernel namespaces must be disjoint")
+	}
+}
+
+// TestRunnerCheckpointerResumesPlainSpecs: a Runner with a Checkpointer
+// checkpoints every run it executes, with no per-spec opt-in. A second pass
+// over the same batch resumes every run, both passes reproduce a cold pass
+// byte for byte, and a resumed run's span tree records the probe hit and the
+// restore.
+func TestRunnerCheckpointerResumesPlainSpecs(t *testing.T) {
+	var specs []sweep.RunSpec
+	for _, mode := range []config.LLCMode{config.LLCShared, config.LLCPrivate, config.LLCAdaptive} {
+		s := genRunSpec(t, mode)
+		s.Key = "bp/" + mode.String()
+		specs = append(specs, s)
+	}
+	cold, err := (&sweep.Runner{}).Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, _ := newManager(t)
+	var (
+		mu     sync.Mutex
+		traces map[string]*obs.Trace
+	)
+	runner := &sweep.Runner{
+		Workers:      2,
+		Checkpointer: mgr,
+		TraceFor: func(key string) *obs.Span {
+			mu.Lock()
+			defer mu.Unlock()
+			tr := obs.NewTrace()
+			traces[key] = tr
+			return tr.Start("run")
+		},
+	}
+	for pass := 1; pass <= 2; pass++ {
+		traces = map[string]*obs.Trace{}
+		got, err := runner.Run(context.Background(), specs)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		for i := range specs {
+			requireEqualStats(t, cold[i].Stats, got[i].Stats, fmt.Sprintf("pass %d run %s", pass, specs[i].Key))
+		}
+	}
+	if st := mgr.ManagerStats(); st.Hits != uint64(len(specs)) || st.Errors != 0 {
+		t.Fatalf("manager stats %+v after two passes, want %d hits (every second-pass run resumed), 0 errors", st, len(specs))
+	}
+
+	for _, s := range specs {
+		roots := traces[s.Key].Snapshot()
+		if len(roots) != 1 {
+			t.Fatalf("run %s: %d root spans, want 1", s.Key, len(roots))
+		}
+		var probeHit, restored bool
+		for _, c := range roots[0].Children {
+			switch c.Name {
+			case "checkpoint-probe":
+				probeHit = c.Attrs["hit"] == true
+			case "checkpoint-restore":
+				restored = true
+			}
+		}
+		if !probeHit || !restored {
+			t.Errorf("run %s: resumed span tree lacks checkpoint-probe hit=true (%v) or checkpoint-restore (%v)", s.Key, probeHit, restored)
+		}
 	}
 }

@@ -43,10 +43,7 @@ type Manager struct {
 // workers; not safe to change concurrently with running simulations.
 func (m *Manager) OnSave(fn func(key [32]byte, data []byte)) { m.onSave = fn }
 
-var (
-	_ sweep.Checkpointer        = (*Manager)(nil)
-	_ sweep.SpannedCheckpointer = (*Manager)(nil)
-)
+var _ sweep.Checkpointer = (*Manager)(nil)
 
 // NewManager wraps a store with checkpoint semantics.
 func NewManager(store *simstore.Store) *Manager {
@@ -115,16 +112,11 @@ func (m *Manager) candidates(spec sweep.RunSpec) ([]candidate, error) {
 	return cands, nil
 }
 
-// Resume implements sweep.Checkpointer.
-func (m *Manager) Resume(spec sweep.RunSpec, newProg func() (workload.Program, error)) (*gpu.GPU, workload.Program, int, bool) {
-	return m.ResumeSpanned(spec, newProg, nil)
-}
-
-// ResumeSpanned implements sweep.SpannedCheckpointer: Resume with the probe
-// phase (key derivation + blob lookups) and the restore phase (decode +
-// program build + state restoration) recorded as distinct child spans of sp
-// and observed into the timing histograms. A nil sp records no spans.
-func (m *Manager) ResumeSpanned(spec sweep.RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (*gpu.GPU, workload.Program, int, bool) {
+// Resume implements sweep.Checkpointer. The probe phase (key derivation +
+// blob lookups) and the restore phase (decode + program build + state
+// restoration) are recorded as distinct child spans of sp and observed into
+// the timing histograms. A nil sp records no spans.
+func (m *Manager) Resume(spec sweep.RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (*gpu.GPU, workload.Program, int, bool) {
 	probeStart := time.Now()
 	probe := sp.Child("checkpoint-probe")
 	probeEnded := false

@@ -17,7 +17,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -47,38 +46,15 @@ type Options struct {
 	ProfileWindowCycles int
 	EpochCycles         int
 
-	// Workers is the number of parallel simulation workers the figure
-	// harness fans independent runs across: 0 uses GOMAXPROCS, 1 forces
-	// serial execution. Per-run seeding makes parallel results identical to
-	// serial ones, so this only affects wall-clock time.
-	Workers int
-	// Progress, when non-nil, is called after every completed run of a
-	// figure's sweep (used by paperfigs for progress reporting).
-	Progress func(sweep.Progress)
-
-	// Exec, when non-nil, replaces the local worker-pool Runner as the
-	// engine that executes a figure's declared runs. The simd server injects
-	// a store-backed executor here so every run first consults the
+	// Exec executes a figure's declared runs; nil means &sweep.Runner{},
+	// one worker per core. cmd/paperfigs passes a Runner carrying its
+	// -workers, -progress, -checkpoints and -trace-out settings, and the simd
+	// server passes a store-backed executor so every run first consults the
 	// content-addressed result cache and misses share one execution across
 	// concurrent figure requests. Implementations must honor the
 	// sweep.Executor contract (positional results, identical results for
-	// identical specs); Workers and Progress are ignored when Exec is set —
-	// the executor owns its own parallelism and progress delivery.
+	// identical specs), so the executor only affects wall-clock time.
 	Exec sweep.Executor
-
-	// Checkpointer, when non-nil (and Exec is unset), opts every declared
-	// run into checkpoint-assisted execution: runs resume from stored state
-	// prefixes (shared warmups, kernel boundaries) and bank new ones. The
-	// statistics are byte-identical to cold execution, so figures are
-	// unaffected; only wall-clock time changes. cmd/paperfigs wires this to
-	// a directory store via -checkpoints.
-	Checkpointer sweep.Checkpointer
-
-	// TraceFor, when non-nil (and Exec is unset), is asked for a parent
-	// span per declared run; the sweep engine records each run's lifecycle
-	// phases under it. cmd/paperfigs wires this to an obs.TraceSet via
-	// -trace-out. Must be safe for concurrent calls.
-	TraceFor func(key string) *obs.Span
 }
 
 // DefaultOptions returns the scale used by the committed experiment results.
@@ -133,19 +109,13 @@ func modeKey(abbr string, mode config.LLCMode) string {
 	return abbr + "/" + mode.String()
 }
 
-// runAll executes a figure's declared runs with the configured parallelism
-// and returns the statistics keyed by RunSpec.Key. This is the single
-// execution path shared by every figure: declare []RunSpec, runAll, collect.
+// runAll executes a figure's declared runs on the configured executor and
+// returns the statistics keyed by RunSpec.Key. This is the single execution
+// path shared by every figure: declare []RunSpec, runAll, collect.
 func (o Options) runAll(specs []sweep.RunSpec) (map[string]gpu.RunStats, error) {
 	exec := o.Exec
 	if exec == nil {
-		if o.Checkpointer != nil {
-			specs = append([]sweep.RunSpec(nil), specs...)
-			for i := range specs {
-				specs[i].Checkpoint = true
-			}
-		}
-		exec = &sweep.Runner{Workers: o.Workers, OnProgress: o.Progress, Checkpointer: o.Checkpointer, TraceFor: o.TraceFor}
+		exec = &sweep.Runner{}
 	}
 	results, err := exec.Run(context.Background(), specs)
 	if err != nil {
@@ -161,44 +131,6 @@ func (o Options) runAll(specs []sweep.RunSpec) (map[string]gpu.RunStats, error) 
 		stats[res.Key] = res.Stats
 	}
 	return stats, nil
-}
-
-// Run executes one benchmark on one configuration and returns the run
-// statistics. It is the serial building block underlying every figure.
-func (o Options) Run(spec workload.Spec, cfg config.Config) (gpu.RunStats, error) {
-	return sweep.Execute(o.runSpec(spec.Abbr, cfg, spec))
-}
-
-// RunMode is a convenience wrapper around Run for a plain baseline
-// configuration with the given LLC mode.
-func (o Options) RunMode(spec workload.Spec, mode config.LLCMode) (gpu.RunStats, error) {
-	return o.Run(spec, o.baseConfig(mode))
-}
-
-// RecordRun executes one benchmark like Run while capturing its per-warp op
-// stream to a trace file at path (see internal/trace). The returned
-// statistics are identical to an unrecorded run; the trace replays to the
-// same statistics via ReplayTrace under the same configuration.
-func (o Options) RecordRun(spec workload.Spec, cfg config.Config, path string) (gpu.RunStats, error) {
-	rs := o.runSpec(spec.Abbr, cfg, spec)
-	rs.RecordPath = path
-	return sweep.Execute(rs)
-}
-
-// ReplayTrace replays a recorded memory trace under the given configuration
-// instead of a synthetic workload. The kernel count defaults to the one in
-// the trace header; loop selects the end-of-trace policy (false drains
-// exhausted warps, true rewinds and replays).
-func (o Options) ReplayTrace(path string, cfg config.Config, loop bool) (gpu.RunStats, error) {
-	return sweep.Execute(sweep.RunSpec{
-		Key:           "trace:" + path,
-		TracePath:     path,
-		TraceLoop:     loop,
-		Config:        cfg,
-		Seed:          o.Seed,
-		MeasureCycles: o.MeasureCycles,
-		WarmupCycles:  o.WarmupCycles,
-	})
 }
 
 // classAbbrs returns the benchmark abbreviations of one class, in catalog

@@ -132,14 +132,14 @@ func TestTables(t *testing.T) {
 func TestRunModeSmoke(t *testing.T) {
 	o := tinyOptions()
 	spec, _ := workload.ByAbbr("VA")
-	rs, err := o.RunMode(spec, config.LLCShared)
+	rs, err := sweep.Execute(o.modeSpec(spec, config.LLCShared))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Instructions == 0 {
 		t.Error("run made no progress")
 	}
-	if _, err := o.Run(spec, config.Config{}); err == nil {
+	if _, err := sweep.Execute(o.runSpec(spec.Abbr, config.Config{}, spec)); err == nil {
 		t.Error("invalid config must fail")
 	}
 }
@@ -184,9 +184,9 @@ func TestFigureParallelDeterminism(t *testing.T) {
 		t.Skip("slow full-GPU simulation; skipped in -short mode")
 	}
 	serial := tinyOptions()
-	serial.Workers = 1
+	serial.Exec = &sweep.Runner{Workers: 1}
 	parallel := tinyOptions()
-	parallel.Workers = 4
+	parallel.Exec = &sweep.Runner{Workers: 4}
 
 	a, err := Figure12(serial)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 
 // The figures in this file follow the harness's declarative pattern: declare
 // every independent run as a sweep.RunSpec, execute the batch through
-// Options.runAll (parallel across Options.Workers), then collect rows from
+// Options.runAll (on the Options.Exec executor), then collect rows from
 // the keyed statistics in catalog order.
 
 // ---------------------------------------------------------------------------

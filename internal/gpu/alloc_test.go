@@ -89,12 +89,12 @@ func TestPostRestoreCycleAllocs(t *testing.T) {
 	// paid during its warmup); the control advances through the same cycles
 	// so the measurement windows below cover the identical simulated region.
 	const rewarm = 20_000
-	restored.runLoop(rewarm, 1)
-	control.runLoop(rewarm, 1)
+	restored.runLoop(rewarm, 1, nil)
+	control.runLoop(rewarm, 1, nil)
 
 	const cyclesPerRun = 500
-	coldAvg := testing.AllocsPerRun(10, func() { control.runLoop(cyclesPerRun, 1) })
-	resumedAvg := testing.AllocsPerRun(10, func() { restored.runLoop(cyclesPerRun, 1) })
+	coldAvg := testing.AllocsPerRun(10, func() { control.runLoop(cyclesPerRun, 1, nil) })
+	resumedAvg := testing.AllocsPerRun(10, func() { restored.runLoop(cyclesPerRun, 1, nil) })
 	// Identical windows should allocate near-identically; the slack absorbs
 	// the last stragglers of one-off capacity regrowth (free-list chunks,
 	// deep merge lists), which decay over tens of thousands of cycles. A
@@ -110,7 +110,7 @@ func requireAllocFreeLoop(t *testing.T, g *GPU, what string) {
 	t.Helper()
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(10, func() {
-		g.runLoop(cyclesPerRun, 1)
+		g.runLoop(cyclesPerRun, 1, nil)
 	})
 	perCycle := avg / cyclesPerRun
 	// A strict 0 would be flaky against one-off high-water-mark

@@ -42,7 +42,7 @@ func runBenchWarm(t *testing.T, abbr string, mode config.LLCMode, warmup uint64,
 	if warmup > 0 {
 		g.Warmup(warmup)
 	}
-	return g.Run(testMeasure, spec.Kernels)
+	return g.Run(testMeasure, spec.Kernels, nil)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -221,7 +221,7 @@ func TestPrivateModeWritePolicy(t *testing.T) {
 	if g.SliceWritePolicy() != cache.WriteThrough {
 		t.Error("private LLC must be write-through")
 	}
-	g.Run(5_000, 1)
+	g.Run(5_000, 1, nil)
 	dirty := 0
 	for _, s := range g.Slices() {
 		dirty += s.Tags().DirtyLines()
@@ -252,7 +252,7 @@ func TestPrivateRoutingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run(20_000, 1)
+	g.Run(20_000, 1, nil)
 	for _, s := range g.Slices() {
 		one, two, threeFour, fivePlus, total := s.Tags().SharerHistogram()
 		if total == 0 {
@@ -324,7 +324,7 @@ func TestMultiProgramPerAppModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Warmup(5_000)
-	rs := g.Run(20_000, 1)
+	rs := g.Run(20_000, 1, nil)
 	if len(rs.AppIPC) != 2 {
 		t.Fatalf("AppIPC = %v, want 2 entries", rs.AppIPC)
 	}
@@ -386,7 +386,7 @@ func TestWarmupResetsStatistics(t *testing.T) {
 	if valid == 0 {
 		t.Error("warmup should leave the LLC warm")
 	}
-	rs := g.Run(10_000, 1)
+	rs := g.Run(10_000, 1, nil)
 	if rs.Instructions == 0 {
 		t.Error("run after warmup made no progress")
 	}

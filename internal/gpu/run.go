@@ -62,7 +62,7 @@ type RunStats struct {
 // behaviour (caches warm, lockstep established) without cold-start
 // transients. The adaptive controller's state is preserved.
 func (g *GPU) Warmup(cycles uint64) {
-	g.runLoop(cycles, 1)
+	g.runLoop(cycles, 1, nil)
 	g.resetMeasurement()
 }
 
@@ -91,21 +91,12 @@ func (g *GPU) resetMeasurement() {
 // Run simulates `cycles` core cycles, splitting them evenly into `kernels`
 // kernel invocations (kernel boundaries re-synchronize the workload and, for
 // the adaptive LLC, trigger Rule #3), and returns the measured statistics.
-func (g *GPU) Run(cycles uint64, kernels int) RunStats {
-	g.runLoop(cycles, kernels)
-	return g.collect(cycles)
-}
-
-// RunCheckpointed is Run with a kernel-boundary hook: onBoundary(m) is
-// invoked at the end of the cycle in which the m-th boundary (1-based) fires,
-// after the boundary's own controller and sharing-window work, so a snapshot
-// taken inside the hook captures exactly the state a cold run has at that
-// point. A nil hook makes it identical to Run.
-func (g *GPU) RunCheckpointed(cycles uint64, kernels int, onBoundary func(m int)) RunStats {
-	kernelLen := kernelLenFor(cycles, kernels)
-	g.runStart = g.cycle
-	g.sharerWindowEnd = g.cycle + sharingWindowCycles
-	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, onBoundary)
+// onBoundary, when non-nil, is invoked at the end of the cycle in which the
+// m-th boundary (1-based) fires, after the boundary's own controller and
+// sharing-window work, so a snapshot taken inside the hook captures exactly
+// the state a cold run has at that point.
+func (g *GPU) Run(cycles uint64, kernels int, onBoundary func(m int)) RunStats {
+	g.runLoop(cycles, kernels, onBoundary)
 	return g.collect(cycles)
 }
 
@@ -139,12 +130,13 @@ func kernelLenFor(cycles uint64, kernels int) uint64 {
 	return kernelLen
 }
 
-// runLoop advances the simulation by `cycles` cycles.
-func (g *GPU) runLoop(cycles uint64, kernels int) {
+// runLoop advances the simulation by `cycles` cycles from a fresh kernel
+// schedule and sharing window.
+func (g *GPU) runLoop(cycles uint64, kernels int, onBoundary func(m int)) {
 	kernelLen := kernelLenFor(cycles, kernels)
 	g.runStart = g.cycle
 	g.sharerWindowEnd = g.cycle + sharingWindowCycles
-	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, nil)
+	g.loopUntil(g.cycle+cycles, kernelLen, g.cycle+kernelLen, onBoundary)
 }
 
 // loopUntil advances the simulation until `end`, firing kernel boundaries on
@@ -486,17 +478,6 @@ func (g *GPU) collect(cycles uint64) RunStats {
 		rs.LastPrediction = &pred
 	}
 	return rs
-}
-
-// L1AccessCount returns the total number of L1 accesses across all SMs
-// (used by the system energy model).
-func (g *GPU) L1AccessCount() uint64 {
-	var total uint64
-	for _, s := range g.sms {
-		st := s.Stats()
-		total += st.L1Hits + st.L1Misses
-	}
-	return total
 }
 
 // SliceWritePolicy reports the current write policy of slice 0 (all slices

@@ -90,13 +90,13 @@ func TestWarmupCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldStats := cold.Run(stateMeasure, stateKernels)
+			coldStats := cold.Run(stateMeasure, stateKernels, nil)
 
 			resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), gobRoundTrip(t, st))
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameStats(t, coldStats, resumed.Run(stateMeasure, stateKernels))
+			requireSameStats(t, coldStats, resumed.Run(stateMeasure, stateKernels, nil))
 		})
 	}
 }
@@ -116,7 +116,7 @@ func TestMidRunCheckpointRoundTrip(t *testing.T) {
 			}
 			cold.Warmup(stateWarmup)
 			var snaps []State
-			coldStats := cold.RunCheckpointed(stateMeasure, stateKernels, func(m int) {
+			coldStats := cold.Run(stateMeasure, stateKernels, func(m int) {
 				st, err := cold.SaveState()
 				if err != nil {
 					t.Fatalf("boundary %d: %v", m, err)
@@ -172,14 +172,14 @@ func TestMultiProgramCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldStats := cold.Run(stateMeasure, stateKernels)
+	coldStats := cold.Run(stateMeasure, stateKernels, nil)
 
 	// The restored GPU never sees SetAppModes: the snapshot must carry it.
 	resumed := build()
 	if err := resumed.RestoreState(gobRoundTrip(t, st)); err != nil {
 		t.Fatal(err)
 	}
-	requireSameStats(t, coldStats, resumed.Run(stateMeasure, stateKernels))
+	requireSameStats(t, coldStats, resumed.Run(stateMeasure, stateKernels, nil))
 }
 
 // TestRestoreRejectsGeometryMismatch guards the error paths: a snapshot from

@@ -26,7 +26,7 @@ func TestTelemetryCountsCycles(t *testing.T) {
 	}
 
 	before := CyclesSimulated()
-	g.runLoop(2_000, 1)
+	g.runLoop(2_000, 1, nil)
 	if got := CyclesSimulated() - before; got < 2_000 {
 		t.Errorf("cycle counter advanced by %d, want >= 2000", got)
 	}

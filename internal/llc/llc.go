@@ -390,6 +390,3 @@ func (s *Slice) UnpopReply(r mem.Reply) {
 func (s *Slice) Flush() (valid, dirty int) {
 	return s.tags.FlushAll()
 }
-
-// TagStats returns the tag-store statistics (used for miss-rate reporting).
-func (s *Slice) TagStats() cache.Stats { return s.tags.Stats() }

@@ -472,12 +472,11 @@ func checkpointResumeScenario() Scenario {
 			}
 			mgr := checkpoint.NewManager(store)
 			for i, spec := range declare(e) {
-				spec.Checkpoint = true
 				cold := results[i].Stats
 
 				// First checkpointed pass: cold execution that banks the
 				// warmup and kernel-boundary snapshots.
-				first, err := sweep.ExecuteWith(spec, mgr)
+				first, err := sweep.ExecuteWith(spec, mgr, nil)
 				if err != nil {
 					v = append(v, fmt.Sprintf("run %q: checkpointed execution: %v", spec.Key, err))
 					continue
@@ -489,7 +488,7 @@ func checkpointResumeScenario() Scenario {
 				// Second pass: must resume from the furthest banked boundary
 				// and still reproduce the cold statistics exactly.
 				before := mgr.ManagerStats().Hits
-				second, err := sweep.ExecuteWith(spec, mgr)
+				second, err := sweep.ExecuteWith(spec, mgr, nil)
 				if err != nil {
 					v = append(v, fmt.Sprintf("run %q: resumed execution: %v", spec.Key, err))
 					continue
@@ -512,7 +511,7 @@ func checkpointResumeScenario() Scenario {
 					continue
 				}
 				before = mgr.ManagerStats().Hits
-				longerWarm, err := sweep.ExecuteWith(longer, mgr)
+				longerWarm, err := sweep.ExecuteWith(longer, mgr, nil)
 				if err != nil {
 					v = append(v, fmt.Sprintf("run %q: warmup-resumed execution: %v", longer.Key, err))
 					continue

@@ -244,15 +244,14 @@ func checkCheckpointResume(dir string, spec sweep.RunSpec, plain gpu.RunStats) [
 		return []string{fmt.Sprintf("checkpoint store: %v", err)}
 	}
 	mgr := checkpoint.NewManager(store)
-	spec.Checkpoint = true
-	banking, err := sweep.ExecuteWith(spec, mgr)
+	banking, err := sweep.ExecuteWith(spec, mgr, nil)
 	if err != nil {
 		return []string{fmt.Sprintf("checkpoint-banking run failed: %v", err)}
 	}
 	if !statsEqual(plain, banking) {
 		v = append(v, "checkpointing is not transparent: banking run differs from plain run")
 	}
-	resumed, err := sweep.ExecuteWith(spec, mgr)
+	resumed, err := sweep.ExecuteWith(spec, mgr, nil)
 	if err != nil {
 		return append(v, fmt.Sprintf("checkpoint-resumed run failed: %v", err))
 	}
@@ -295,7 +294,7 @@ func (c FuzzCase) checkMixed(tracePath string) []string {
 			return gpu.RunStats{}, fmt.Errorf("mixed gpu: %w", err)
 		}
 		g.Warmup(fuzzWarmupCycles)
-		return g.Run(fuzzMeasureCycles, 1), nil
+		return g.Run(fuzzMeasureCycles, 1, nil), nil
 	}
 
 	first, err := run()

@@ -342,10 +342,6 @@ func (q *Queue) SubmitRunFP(key string, spec sweep.RunSpec, fp [32]byte) (Submit
 	j.spQueue = j.trace.Start("queue-wait")
 	j.spec = canon
 	j.spec.Key = j.ID // names the run in engine error messages
-	// Opt the execution into checkpoint resume/banking. Set after Canonical
-	// (which erases the flag), so the cache identity fp was computed from is
-	// unaffected — checkpointing changes wall-clock time, never statistics.
-	j.spec.Checkpoint = q.cp != nil
 	q.inflight[hexFP] = j
 	q.mu.Unlock()
 
@@ -413,7 +409,7 @@ func executeSafely(spec sweep.RunSpec, cp sweep.Checkpointer, sp *obs.Span) (sta
 			err = fmt.Errorf("run panicked: %v", r)
 		}
 	}()
-	return sweep.ExecuteSpanned(spec, cp, sp)
+	return sweep.ExecuteWith(spec, cp, sp)
 }
 
 func (q *Queue) worker() {

@@ -83,15 +83,6 @@ type RunSpec struct {
 	// RecordPath, when non-empty, captures the run's per-warp op stream to a
 	// trace file that can later be replayed via TracePath.
 	RecordPath string
-
-	// Checkpoint opts the run into checkpoint-assisted execution: when the
-	// executor has a Checkpointer, the run resumes from the longest stored
-	// state prefix (warmup end or a later kernel boundary) and emits
-	// checkpoints at those points for future runs. Checkpointing never
-	// changes the measured statistics — a resumed run is byte-identical to a
-	// cold one — so Canonical clears this flag. Ignored while recording a
-	// trace (a resumed run could not re-record its skipped prefix).
-	Checkpoint bool
 }
 
 // Canonical returns the spec reduced to the fields that determine its
@@ -103,8 +94,6 @@ type RunSpec struct {
 //     simulator.
 //   - RecordPath is cleared: capturing a trace is a side effect that leaves
 //     the measured statistics untouched (see Execute).
-//   - Checkpoint is cleared: resuming from a stored state prefix reproduces
-//     the cold run's statistics exactly, so it never affects the outcome.
 //   - Config is normalized, so a zero derived field and its explicitly
 //     spelled-out default compare equal.
 //   - A zero Kernels is resolved to the workload-derived default, so "let it
@@ -117,7 +106,6 @@ type RunSpec struct {
 func (s RunSpec) Canonical() RunSpec {
 	s.Key = ""
 	s.RecordPath = ""
-	s.Checkpoint = false
 	s.Config = s.Config.Normalize()
 	if s.Kernels == 0 && len(s.Workloads) > 0 {
 		s.Kernels = s.kernels()
@@ -149,31 +137,23 @@ type Checkpointer interface {
 	// builds a fresh program for each restore attempt (a failed restore may
 	// leave a program partially fast-forwarded, so attempts never share one).
 	// On success it returns the restored GPU, the program driving it, and the
-	// kernel boundary the snapshot was taken at (0 = warmup end).
-	Resume(spec RunSpec, newProg func() (workload.Program, error)) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
+	// kernel boundary the snapshot was taken at (0 = warmup end). The probe
+	// and restore phases are recorded as child spans of sp (nil records
+	// nothing).
+	Resume(spec RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
 	// Checkpoint stores the GPU's current state as the prefix ending at
 	// kernel boundary atKernel (0 = warmup end). Failures are swallowed:
 	// checkpointing is an accelerator, never a correctness dependency.
 	Checkpoint(spec RunSpec, g *gpu.GPU, atKernel int)
 }
 
-// SpannedCheckpointer is an optional extension of Checkpointer: a resume
-// implementation that records its probe and restore phases as distinct
-// child spans of sp (internal/checkpoint.Manager implements it). Executors
-// fall back to wrapping plain Resume in a single probe span.
-type SpannedCheckpointer interface {
-	Checkpointer
-	ResumeSpanned(spec RunSpec, newProg func() (workload.Program, error), sp *obs.Span) (g *gpu.GPU, prog workload.Program, atKernel int, ok bool)
-}
-
-// BuildProgram constructs the workload program a spec declares: a trace
-// player, a single generator, or a multi-program combination. The returned
-// player is non-nil only for trace replays (it aliases the program) and must
-// be closed by the caller.
-func BuildProgram(s RunSpec) (workload.Program, *trace.Player, error) {
+// buildProgram constructs the workload program the spec declares: a trace
+// player (which the caller must close), a single generator, or a
+// multi-program combination.
+func (s RunSpec) buildProgram() (workload.Program, error) {
 	switch {
 	case s.TracePath != "" && len(s.Workloads) > 0:
-		return nil, nil, fmt.Errorf("TracePath and Workloads are mutually exclusive")
+		return nil, fmt.Errorf("TracePath and Workloads are mutually exclusive")
 	case s.TracePath != "":
 		policy := trace.EOFDrain
 		if s.TraceLoop {
@@ -181,17 +161,15 @@ func BuildProgram(s RunSpec) (workload.Program, *trace.Player, error) {
 		}
 		player, err := trace.NewPlayer(s.TracePath, s.Config.Normalize(), policy)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return player, player, nil
+		return player, nil
 	case len(s.Workloads) == 0:
-		return nil, nil, fmt.Errorf("no workloads")
+		return nil, fmt.Errorf("no workloads")
 	case len(s.Workloads) == 1:
-		prog, err := workload.NewGenerator(s.Workloads[0], s.Config, s.Seed)
-		return prog, nil, err
+		return workload.NewGenerator(s.Workloads[0], s.Config, s.Seed)
 	default:
-		prog, err := workload.NewMultiProgram(s.Workloads, s.Config, s.Seed)
-		return prog, nil, err
+		return workload.NewMultiProgram(s.Workloads, s.Config, s.Seed)
 	}
 }
 
@@ -206,120 +184,84 @@ func (s RunSpec) resolveKernels(player *trace.Player) int {
 }
 
 // Execute runs one spec to completion on the calling goroutine and returns
-// its statistics. It is the serial building block the Runner parallelizes,
-// and the single place where a declarative RunSpec is turned into generator,
-// GPU and simulation loop.
+// its statistics: ExecuteWith without checkpointing or tracing.
 func Execute(s RunSpec) (gpu.RunStats, error) {
-	return ExecuteWith(s, nil)
+	return ExecuteWith(s, nil, nil)
 }
 
-// ExecuteWith is Execute with an optional checkpointer. When the spec opts in
-// (RunSpec.Checkpoint) and cp is non-nil, the run first tries to resume from
-// the longest stored state prefix and emits checkpoints at warmup end and at
-// every kernel boundary it passes. The returned statistics are byte-identical
-// to what the cold Execute produces.
-func ExecuteWith(s RunSpec, cp Checkpointer) (gpu.RunStats, error) {
-	return ExecuteSpanned(s, cp, nil)
-}
-
-// ExecuteSpanned is ExecuteWith recording the run's lifecycle as child
-// spans of sp: checkpoint probe/restore, program build, warmup, the measure
-// window with one segment per kernel invocation, and checkpoint saves. A
-// nil sp records nothing (spans are nil-safe), and tracing never affects
-// the returned statistics — they stay byte-identical either way.
-func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, error) {
+// ExecuteWith runs one spec to completion on the calling goroutine. It is the
+// serial building block the Runner parallelizes, and the single place where a
+// declarative RunSpec is turned into program, GPU, warm-up and measured
+// window.
+//
+// A non-nil cp switches checkpointing on: the run first tries to resume from
+// the longest stored state prefix and banks checkpoints at warmup end and at
+// every kernel boundary it passes. Recording a trace forces a cold run, since
+// a run restored past its warmup could not re-record the skipped prefix.
+//
+// The run's lifecycle is recorded as child spans of sp: checkpoint
+// probe/restore, program build, warmup, the measure window with one segment
+// per kernel invocation, and checkpoint saves. A nil sp records nothing.
+// Neither checkpointing nor tracing changes the returned statistics: they are
+// byte-identical to a cold, untraced run.
+func ExecuteWith(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, error) {
 	fail := func(err error) (gpu.RunStats, error) {
 		return gpu.RunStats{}, fmt.Errorf("sweep: run %q: %w", s.Key, err)
 	}
-
-	// runMeasured drives the measured window, segmenting it per kernel
-	// invocation: boundary m closes segment m and opens segment m+1, with
-	// checkpoint saves spanned in between.
-	runMeasured := func(g *gpu.GPU, kernels, atKernel int, useCP bool) gpu.RunStats {
-		meas := sp.Child("measure")
-		meas.Annotate("cycles", s.MeasureCycles)
-		meas.Annotate("kernels", kernels)
-		if atKernel > 0 {
-			meas.Annotate("resumed_at_kernel", atKernel)
-		}
-		defer meas.End()
-		var seg *obs.Span
-		if sp != nil && kernels > 1 {
-			seg = meas.Child(fmt.Sprintf("kernel-%d", atKernel+1))
-		}
-		hook := func(m int) {
-			seg.End()
-			if useCP {
-				save := meas.Child("checkpoint-save")
-				save.Annotate("at_kernel", m)
-				cp.Checkpoint(s, g, m)
-				save.End()
-			}
-			if sp != nil && kernels > 1 {
-				seg = meas.Child(fmt.Sprintf("kernel-%d", m+1))
-			}
-		}
-		defer func() { seg.End() }()
-		if atKernel > 0 {
-			return g.ResumeRun(s.MeasureCycles, kernels, hook)
-		}
-		if !useCP && sp == nil {
-			return g.Run(s.MeasureCycles, kernels)
-		}
-		return g.RunCheckpointed(s.MeasureCycles, kernels, hook)
+	if s.RecordPath != "" {
+		cp = nil
 	}
 
-	// Recording is incompatible with resuming: a run restored past its
-	// warmup could not re-record the skipped prefix, so the trace would be
-	// silently partial.
-	useCP := cp != nil && s.Checkpoint && s.RecordPath == ""
-	if useCP {
-		newProg := func() (workload.Program, error) {
-			prog, _, err := BuildProgram(s)
-			return prog, err
-		}
-		var (
-			g        *gpu.GPU
-			prog     workload.Program
-			atKernel int
-			ok       bool
-		)
-		if scp, spanned := cp.(SpannedCheckpointer); spanned {
-			g, prog, atKernel, ok = scp.ResumeSpanned(s, newProg, sp)
-		} else {
-			probe := sp.Child("checkpoint-probe")
-			g, prog, atKernel, ok = cp.Resume(s, newProg)
-			probe.Annotate("hit", ok)
-			probe.End()
-		}
-		if ok {
-			player, _ := prog.(*trace.Player)
-			if player != nil {
-				defer player.Close()
-			}
-			kernels := s.resolveKernels(player)
-			stats := runMeasured(g, kernels, atKernel, true)
-			if player != nil {
-				if err := player.Err(); err != nil {
-					return fail(err)
-				}
-			}
-			return stats, nil
+	var (
+		g        *gpu.GPU
+		prog     workload.Program
+		atKernel int
+		resumed  bool
+		err      error
+	)
+	if cp != nil {
+		g, prog, atKernel, resumed = cp.Resume(s, s.buildProgram, sp)
+	}
+	if !resumed {
+		build := sp.Child("build-program")
+		prog, err = s.buildProgram()
+		build.End()
+		if err != nil {
+			return fail(err)
 		}
 	}
-
-	build := sp.Child("build-program")
-	prog, player, err := BuildProgram(s)
-	build.End()
-	if err != nil {
-		return fail(err)
-	}
+	player, _ := prog.(*trace.Player)
 	if player != nil {
 		defer player.Close()
 	}
-
 	kernels := s.resolveKernels(player)
 
+	var rec *trace.Recorder
+	if !resumed {
+		if g, rec, err = s.startCold(prog, kernels, cp, sp); err != nil {
+			return fail(err)
+		}
+	}
+	stats := s.measure(g, kernels, atKernel, cp, sp)
+	if rec != nil {
+		if err := rec.Close(); err != nil {
+			os.Remove(s.RecordPath)
+			return fail(err)
+		}
+	}
+	if player != nil {
+		if err := player.Err(); err != nil {
+			return fail(err)
+		}
+	}
+	return stats, nil
+}
+
+// startCold builds the GPU for a run that did not resume, optionally
+// capturing its op stream to RecordPath, and runs the warmup, banking its end
+// state with cp. The returned recorder, when non-nil, must be closed once the
+// measured window ends.
+func (s RunSpec) startCold(prog workload.Program, kernels int, cp Checkpointer, sp *obs.Span) (*gpu.GPU, *trace.Recorder, error) {
 	// Optional transparent capture: wrap the program so the run records its
 	// op stream to a replayable trace file.
 	var rec *trace.Recorder
@@ -345,7 +287,7 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		}
 		w, err := trace.Create(s.RecordPath, hdr)
 		if err != nil {
-			return fail(err)
+			return nil, nil, err
 		}
 		rec = trace.NewRecorder(prog, w)
 		prog = rec
@@ -353,29 +295,28 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 	// A failed recorded run must not leave a well-formed (but empty or
 	// partial) trace behind: a later replay of it would silently succeed
 	// with a bogus workload.
-	abortRecording := func() {
+	abort := func(err error) (*gpu.GPU, *trace.Recorder, error) {
 		if rec != nil {
 			rec.Close()
 			os.Remove(s.RecordPath)
 		}
+		return nil, nil, err
 	}
 
 	g, err := gpu.New(s.Config, prog)
 	if err != nil {
-		abortRecording()
-		return fail(err)
+		return abort(err)
 	}
 	if len(s.AppModes) > 0 {
 		if err := g.SetAppModes(s.AppModes); err != nil {
-			abortRecording()
-			return fail(err)
+			return abort(err)
 		}
 	}
 	if s.WarmupCycles > 0 {
 		warm := sp.Child("warmup")
 		warm.Annotate("cycles", s.WarmupCycles)
 		g.Warmup(s.WarmupCycles)
-		if useCP {
+		if cp != nil {
 			save := warm.Child("checkpoint-save")
 			save.Annotate("at_kernel", 0)
 			cp.Checkpoint(s, g, 0)
@@ -383,19 +324,46 @@ func ExecuteSpanned(s RunSpec, cp Checkpointer, sp *obs.Span) (gpu.RunStats, err
 		}
 		warm.End()
 	}
-	stats := runMeasured(g, kernels, 0, useCP)
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			os.Remove(s.RecordPath)
-			return fail(err)
+	return g, rec, nil
+}
+
+// measure drives the measured window from kernel boundary atKernel (0 = a
+// fresh window), segmenting it per kernel invocation: boundary m closes
+// segment m and opens segment m+1, with checkpoint saves spanned in between.
+func (s RunSpec) measure(g *gpu.GPU, kernels, atKernel int, cp Checkpointer, sp *obs.Span) gpu.RunStats {
+	meas := sp.Child("measure")
+	meas.Annotate("cycles", s.MeasureCycles)
+	meas.Annotate("kernels", kernels)
+	if atKernel > 0 {
+		meas.Annotate("resumed_at_kernel", atKernel)
+	}
+	defer meas.End()
+	segmented := sp != nil && kernels > 1
+	var seg *obs.Span
+	if segmented {
+		seg = meas.Child(fmt.Sprintf("kernel-%d", atKernel+1))
+	}
+	defer func() { seg.End() }()
+	// An untraced run without checkpoints needs no hook.
+	var hook func(m int)
+	if cp != nil || sp != nil {
+		hook = func(m int) {
+			seg.End()
+			if cp != nil {
+				save := meas.Child("checkpoint-save")
+				save.Annotate("at_kernel", m)
+				cp.Checkpoint(s, g, m)
+				save.End()
+			}
+			if segmented {
+				seg = meas.Child(fmt.Sprintf("kernel-%d", m+1))
+			}
 		}
 	}
-	if player != nil {
-		if err := player.Err(); err != nil {
-			return fail(err)
-		}
+	if atKernel > 0 {
+		return g.ResumeRun(s.MeasureCycles, kernels, hook)
 	}
-	return stats, nil
+	return g.Run(s.MeasureCycles, kernels, hook)
 }
 
 // Result is the outcome of one RunSpec within a batch.
@@ -439,8 +407,8 @@ type Runner struct {
 	Workers int
 	// OnProgress, when non-nil, is invoked after every completed run.
 	OnProgress func(Progress)
-	// Checkpointer, when non-nil, lets runs that set RunSpec.Checkpoint
-	// resume from stored state prefixes and bank new ones.
+	// Checkpointer, when non-nil, lets every run resume from stored state
+	// prefixes and bank new ones (see ExecuteWith).
 	Checkpointer Checkpointer
 	// TraceFor, when non-nil, is asked for a parent span per run (keyed by
 	// RunSpec.Key); the run's lifecycle phases are recorded as children and
@@ -514,7 +482,7 @@ func (r *Runner) Run(ctx context.Context, specs []RunSpec) ([]Result, error) {
 				if r.TraceFor != nil {
 					sp = r.TraceFor(specs[i].Key)
 				}
-				res.Stats, res.Err = ExecuteSpanned(specs[i], r.Checkpointer, sp)
+				res.Stats, res.Err = ExecuteWith(specs[i], r.Checkpointer, sp)
 				sp.End()
 				if res.Err != nil {
 					cancel()

@@ -734,7 +734,7 @@ func TestMixedMultiProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := g.Run(3000, 1)
+	stats := g.Run(3000, 1, nil)
 	if len(stats.AppInstructions) != 2 {
 		t.Fatalf("AppInstructions = %v, want 2 apps", stats.AppInstructions)
 	}

@@ -91,7 +91,7 @@ func TestMultiProgramMixedSingleProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := g.Run(2_000, 1)
+	stats := g.Run(2_000, 1, nil)
 	if stats.Instructions == 0 {
 		t.Fatal("single-program mix issued no instructions")
 	}
@@ -140,7 +140,7 @@ func TestMultiProgramMixedGeometryFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.Run(3_000, 1)
+		return g.Run(3_000, 1, nil)
 	}
 
 	first := run()
