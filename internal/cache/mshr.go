@@ -64,15 +64,6 @@ func (m *MSHRTable[P]) find(lineAddr uint64) int {
 	return -1
 }
 
-// CanAccept reports whether a miss on lineAddr can be accepted right now,
-// either by merging into an existing entry or by allocating a new one.
-func (m *MSHRTable[P]) CanAccept(lineAddr uint64) bool {
-	if i := m.find(lineAddr); i >= 0 {
-		return m.maxMergedPer == 0 || len(m.payloads[i]) < m.maxMergedPer
-	}
-	return len(m.lines) < m.capacity
-}
-
 // ProbeKind classifies the outcome of a single MSHR lookup.
 type ProbeKind uint8
 
@@ -107,25 +98,22 @@ type Probe struct {
 // Kind returns the lookup's classification.
 func (p Probe) Kind() ProbeKind { return p.kind }
 
-// Outstanding reports whether the probed line already has an entry
-// (equivalent to MSHRTable.Outstanding, without re-scanning).
+// Outstanding reports whether the probed line already has an entry.
 func (p Probe) Outstanding() bool { return p.kind == ProbeMerge || p.kind == ProbeMergeLimit }
 
-// CanAccept reports whether a miss on the probed line can be accepted
-// (equivalent to MSHRTable.CanAccept, without re-scanning).
+// CanAccept reports whether a miss on the probed line can be accepted, by
+// merging into its entry or by allocating a new one.
 func (p Probe) CanAccept() bool { return p.kind == ProbeNew || p.kind == ProbeMerge }
 
 // Probe is the combined probe-and-allocate entry point: it performs the one
 // linear scan for lineAddr and returns a Probe that answers the
 // Outstanding/CanAccept questions and can be handed to Commit to finish a
-// miss allocation — where the three separate calls each scanned the packed
-// line array per memory operation.
+// miss allocation.
 //
 // A ProbeMergeLimit outcome is counted as a full stall here (such an access
-// always stalls); a ProbeTableFull outcome is not, because the access may
-// still hit in the cache and never need the entry — it is counted by
-// Allocate when an allocation is actually rejected, exactly as the
-// separate-call API did.
+// always stalls). A ProbeTableFull outcome is not counted: the access may
+// still hit in the cache and never need the entry, so the caller counts a
+// table-full stall in its own statistics.
 func (m *MSHRTable[P]) Probe(lineAddr uint64) Probe {
 	p := Probe{lineAddr: lineAddr, idx: -1, stamp: m.stamp}
 	if i := m.find(lineAddr); i >= 0 {
@@ -171,24 +159,6 @@ func (m *MSHRTable[P]) Commit(p Probe, payload P) (primary bool) {
 	}
 }
 
-// Allocate records a miss for payload on lineAddr. It returns primary=true
-// if this is the first outstanding miss for the line (and therefore a
-// request must be sent to the next level), or primary=false if it merged
-// into an existing entry. ok=false means the table is full and the miss must
-// stall. Hot paths that already need Outstanding/CanAccept answers should
-// use Probe/Commit instead and pay for one scan total.
-func (m *MSHRTable[P]) Allocate(lineAddr uint64, payload P) (primary, ok bool) {
-	p := m.Probe(lineAddr)
-	switch p.kind {
-	case ProbeMergeLimit: // Probe already counted the stall
-		return false, false
-	case ProbeTableFull:
-		m.fullStalls++
-		return false, false
-	}
-	return m.Commit(p, payload), true
-}
-
 // insert adds a new entry for lineAddr, reusing a recycled payload slice.
 func (m *MSHRTable[P]) insert(lineAddr uint64, payload P) {
 	var ps []P
@@ -212,7 +182,7 @@ func (m *MSHRTable[P]) insert(lineAddr uint64, payload P) {
 // waiting on it (in arrival order). It returns nil if no entry exists.
 //
 // The returned slice's backing array is recycled by the table: it is valid
-// only until the next call to Allocate.
+// only until the next Commit of a new entry.
 func (m *MSHRTable[P]) Complete(lineAddr uint64) []P {
 	i := m.find(lineAddr)
 	if i < 0 {
@@ -230,10 +200,9 @@ func (m *MSHRTable[P]) Complete(lineAddr uint64) []P {
 	return reqs
 }
 
-// Outstanding reports whether lineAddr has an outstanding miss.
-func (m *MSHRTable[P]) Outstanding(lineAddr uint64) bool {
-	return m.find(lineAddr) >= 0
-}
+// Stamp returns the structural version: it changes whenever an entry is
+// inserted or removed, or the table is reset.
+func (m *MSHRTable[P]) Stamp() uint64 { return m.stamp }
 
 // Occupancy returns the number of distinct outstanding lines.
 func (m *MSHRTable[P]) Occupancy() int { return len(m.lines) }
@@ -250,7 +219,7 @@ func (m *MSHRTable[P]) Allocations() uint64 { return m.allocations }
 // Merges returns the number of secondary misses merged into existing entries.
 func (m *MSHRTable[P]) Merges() uint64 { return m.merges }
 
-// FullStalls returns how many allocation attempts were rejected.
+// FullStalls returns how many probes found their line's merge limit reached.
 func (m *MSHRTable[P]) FullStalls() uint64 { return m.fullStalls }
 
 // Reset clears all entries and statistics (recycled backing storage is kept).

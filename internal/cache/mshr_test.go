@@ -2,20 +2,29 @@ package cache
 
 import "testing"
 
+// allocate commits a miss for payload on lineAddr, failing the test if the
+// table cannot accept it.
+func allocate(t *testing.T, m *MSHRTable[uint64], lineAddr, payload uint64) (primary bool) {
+	t.Helper()
+	p := m.Probe(lineAddr)
+	if !p.CanAccept() {
+		t.Fatalf("probe of %#x = %v, want an accepting outcome", lineAddr, p.Kind())
+	}
+	return m.Commit(p, payload)
+}
+
 func TestMSHRBasicAllocateComplete(t *testing.T) {
 	m := NewMSHRTable[uint64](4, 0)
-	primary, ok := m.Allocate(0x100, 1)
-	if !primary || !ok {
-		t.Fatalf("first allocation: primary=%v ok=%v, want true,true", primary, ok)
+	if !allocate(t, m, 0x100, 1) {
+		t.Fatal("first allocation must be primary")
 	}
-	primary, ok = m.Allocate(0x100, 2)
-	if primary || !ok {
-		t.Fatalf("merge: primary=%v ok=%v, want false,true", primary, ok)
+	if allocate(t, m, 0x100, 2) {
+		t.Fatal("second miss on the line must merge, not be primary")
 	}
 	if m.Occupancy() != 1 {
 		t.Errorf("occupancy = %d, want 1", m.Occupancy())
 	}
-	if !m.Outstanding(0x100) || m.Outstanding(0x200) {
+	if !m.Probe(0x100).Outstanding() || m.Probe(0x200).Outstanding() {
 		t.Error("Outstanding mismatch")
 	}
 	reqs := m.Complete(0x100)
@@ -32,47 +41,40 @@ func TestMSHRBasicAllocateComplete(t *testing.T) {
 
 func TestMSHRCapacity(t *testing.T) {
 	m := NewMSHRTable[uint64](2, 0)
-	m.Allocate(0x100, 1)
-	m.Allocate(0x200, 2)
-	if m.CanAccept(0x300) {
-		t.Error("table should be full for new lines")
+	allocate(t, m, 0x100, 1)
+	allocate(t, m, 0x200, 2)
+	if p := m.Probe(0x300); p.Kind() != ProbeTableFull || p.CanAccept() {
+		t.Errorf("probe of a new line = %v, want ProbeTableFull", p.Kind())
 	}
-	if !m.CanAccept(0x100) {
+	if !m.Probe(0x100).CanAccept() {
 		t.Error("merging into existing entry should still be possible")
 	}
-	_, ok := m.Allocate(0x300, 3)
-	if ok {
-		t.Error("allocation beyond capacity should fail")
-	}
-	if m.FullStalls() != 1 {
-		t.Errorf("FullStalls = %d, want 1", m.FullStalls())
+	if m.FullStalls() != 0 {
+		t.Errorf("FullStalls = %d, want 0 (a full table is the caller's stall to count)", m.FullStalls())
 	}
 	m.Complete(0x100)
-	if !m.CanAccept(0x300) {
+	if !m.Probe(0x300).CanAccept() {
 		t.Error("space should be available after completion")
 	}
 }
 
 func TestMSHRMergeLimit(t *testing.T) {
 	m := NewMSHRTable[uint64](4, 2)
-	m.Allocate(0x100, 1)
-	_, ok := m.Allocate(0x100, 2)
-	if !ok {
-		t.Fatal("second merge should succeed")
+	allocate(t, m, 0x100, 1)
+	allocate(t, m, 0x100, 2)
+	p := m.Probe(0x100)
+	if p.Kind() != ProbeMergeLimit || p.CanAccept() {
+		t.Errorf("merge limit reached: probe = %v, want ProbeMergeLimit", p.Kind())
 	}
-	if m.CanAccept(0x100) {
-		t.Error("merge limit reached, CanAccept should be false")
-	}
-	_, ok = m.Allocate(0x100, 3)
-	if ok {
-		t.Error("merge beyond limit should fail")
+	if m.Merges() != 1 {
+		t.Errorf("merges = %d, want 1", m.Merges())
 	}
 }
 
 func TestMSHRPeakAndReset(t *testing.T) {
 	m := NewMSHRTable[uint64](8, 0)
 	for i := 0; i < 5; i++ {
-		m.Allocate(uint64(i)*128, uint64(i))
+		allocate(t, m, uint64(i)*128, uint64(i))
 	}
 	if m.PeakOccupancy() != 5 {
 		t.Errorf("peak = %d, want 5", m.PeakOccupancy())
@@ -83,6 +85,30 @@ func TestMSHRPeakAndReset(t *testing.T) {
 	m.Reset()
 	if m.Occupancy() != 0 || m.PeakOccupancy() != 0 || m.Allocations() != 0 {
 		t.Error("Reset did not clear state")
+	}
+}
+
+func TestMSHRStampTracksStructuralChanges(t *testing.T) {
+	m := NewMSHRTable[uint64](4, 0)
+	s0 := m.Stamp()
+	allocate(t, m, 0x100, 1)
+	s1 := m.Stamp()
+	if s1 == s0 {
+		t.Fatal("inserting an entry must change the stamp")
+	}
+	allocate(t, m, 0x100, 2) // merge: occupancy unchanged
+	m.Probe(0x200)
+	if m.Stamp() != s1 {
+		t.Error("a merge or a probe must not change the stamp")
+	}
+	m.Complete(0x100)
+	s2 := m.Stamp()
+	if s2 == s1 {
+		t.Error("completing an entry must change the stamp")
+	}
+	m.Reset()
+	if m.Stamp() == s2 {
+		t.Error("Reset must change the stamp")
 	}
 }
 
@@ -135,8 +161,7 @@ func TestMSHRProbeMergeLimitCountsStall(t *testing.T) {
 	if p.Kind() != ProbeMergeLimit || !p.Outstanding() || p.CanAccept() {
 		t.Fatalf("probe of merge-limited line = %v, want ProbeMergeLimit", p.Kind())
 	}
-	// A merge-limited access always stalls, so the probe itself counts it —
-	// matching what Allocate counted when it rejected the merge.
+	// A merge-limited access always stalls, so the probe itself counts it.
 	if m.FullStalls() != 1 {
 		t.Errorf("FullStalls = %d, want 1", m.FullStalls())
 	}

@@ -105,7 +105,7 @@ func (m *MSHRTable[P]) SaveState() MSHRState[P] {
 }
 
 // RestoreState overwrites the table's entries and statistics. The counters
-// are written directly — going through Allocate would double-count them.
+// are written directly — going through Commit would double-count them.
 func (m *MSHRTable[P]) RestoreState(st MSHRState[P]) error {
 	if len(st.Lines) != len(st.Payloads) {
 		return fmt.Errorf("cache: MSHR snapshot has %d lines but %d payload sets", len(st.Lines), len(st.Payloads))

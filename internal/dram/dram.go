@@ -152,14 +152,19 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 // CanAccept reports whether Enqueue would succeed this cycle.
 func (c *Controller) CanAccept() bool { return len(c.queue) < c.queueCap }
 
+// Refuse counts one request turned away by a full queue (StallsFull), for a
+// caller that found CanAccept false and skipped Enqueue. A refused Enqueue
+// counts the same way.
+func (c *Controller) Refuse() { c.stats.StallsFull++ }
+
 // Pending reports whether any request is queued or in flight.
 func (c *Controller) Pending() bool { return len(c.queue) > 0 }
 
 // Enqueue adds a request to the controller queue. It returns false if the
 // queue is full, in which case the caller must retry later.
 func (c *Controller) Enqueue(req Request) bool {
-	if len(c.queue) >= c.queueCap {
-		c.stats.StallsFull++
+	if !c.CanAccept() {
+		c.Refuse()
 		return false
 	}
 	if req.Bank < 0 || req.Bank >= len(c.banks) {

@@ -94,6 +94,26 @@ func TestQueueCapacity(t *testing.T) {
 	}
 }
 
+// TestRefuseCountsLikeARefusedEnqueue checks the check-first admission path:
+// a caller that finds CanAccept false and calls Refuse leaves the same
+// StallsFull count as one that tried Enqueue.
+func TestRefuseCountsLikeARefusedEnqueue(t *testing.T) {
+	cfg := config.Baseline().Normalize()
+	cfg.MCQueueDepth = 1
+	c := NewController(0, cfg)
+	if !c.CanAccept() || !c.Enqueue(Request{ID: 1, Bank: 0, Row: 0}) {
+		t.Fatal("first request must be admitted")
+	}
+	if c.CanAccept() {
+		t.Fatal("queue of depth 1 should be full")
+	}
+	c.Refuse()
+	c.Enqueue(Request{ID: 2, Bank: 0, Row: 0})
+	if st := c.Stats(); st.StallsFull != 2 || st.Requests != 1 {
+		t.Errorf("StallsFull = %d, Requests = %d; want 2 and 1", st.StallsFull, st.Requests)
+	}
+}
+
 func TestEnqueuePanicsOnBadBank(t *testing.T) {
 	c := testController()
 	defer func() {

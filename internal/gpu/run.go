@@ -250,6 +250,8 @@ func (g *GPU) step() {
 }
 
 // injectRequests moves memory requests from the SMs into the request NoC.
+// Admission is checked on the queue head before it is mapped and packed, so
+// a refused injection costs no address mapping and no packet.
 func (g *GPU) injectRequests() {
 	reqFlits := g.cfg.RequestFlits()
 	writeFlits := g.cfg.ReplyFlits() // stores carry a cache line of payload
@@ -259,18 +261,21 @@ func (g *GPU) injectRequests() {
 			if !ok {
 				break
 			}
-			loc := g.mapper.Map(req.Addr)
-			dst := g.sliceFor(req, loc)
 			flits := reqFlits
 			if req.Write {
 				flits = writeFlits
 			}
+			if !g.reqNet.CanInject(req.SM, flits) {
+				g.reqNet.Refuse()
+				s.UnpopRequest(req)
+				break
+			}
+			loc := g.mapper.Map(req.Addr)
+			dst := g.sliceFor(req, loc)
 			pkt := g.pktPool.Get()
 			pkt.ID, pkt.Src, pkt.Dst, pkt.Flits, pkt.Req = req.ID, req.SM, dst, flits, req
 			if !g.reqNet.Inject(pkt) {
-				g.pktPool.Put(pkt)
-				s.UnpopRequest(req)
-				break
+				panic("gpu: request NoC refused an injection CanInject allowed")
 			}
 			if g.ctrl != nil && g.mode == config.LLCShared {
 				sharedSlice := loc.Channel*g.cfg.LLCSlicesPerMC + loc.Slice
@@ -281,15 +286,20 @@ func (g *GPU) injectRequests() {
 }
 
 // moveSliceToDRAM forwards LLC miss traffic and write-backs to the memory
-// controllers.
+// controllers. A full controller is detected before the request is mapped.
 func (g *GPU) moveSliceToDRAM() {
 	for _, s := range g.slices {
+		mc := g.mcs[s.MC()]
 		for {
 			d, ok := s.PopDRAMRequest()
 			if !ok {
 				break
 			}
-			mcID := s.MC()
+			if !mc.CanAccept() {
+				mc.Refuse()
+				s.UnpopDRAMRequest(d)
+				break
+			}
 			loc := g.mapper.Map(d.Addr)
 			req := dram.Request{
 				ID:    uint64(s.ID())<<48 | uint64(d.Addr>>7),
@@ -298,9 +308,8 @@ func (g *GPU) moveSliceToDRAM() {
 				Write: d.Write,
 				Meta:  dram.Meta{Slice: s.ID(), Addr: d.Addr, Fill: d.Fill},
 			}
-			if !g.mcs[mcID].Enqueue(req) {
-				s.UnpopDRAMRequest(d)
-				break
+			if !mc.Enqueue(req) {
+				panic("gpu: memory controller refused a request CanAccept allowed")
 			}
 		}
 	}

@@ -54,15 +54,20 @@ func stateTestSpec(t *testing.T) workload.Spec {
 // prove serialization fidelity and not just in-memory copying.
 func gobRoundTrip(t *testing.T, st State) State {
 	t.Helper()
+	var out State
+	if err := gob.NewDecoder(bytes.NewReader(gobEncode(t, st))).Decode(&out); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	return out
+}
+
+func gobEncode(t *testing.T, st State) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		t.Fatalf("encode snapshot: %v", err)
 	}
-	var out State
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-	return out
+	return buf.Bytes()
 }
 
 func requireSameStats(t *testing.T, cold, resumed RunStats) {
@@ -135,6 +140,69 @@ func TestMidRunCheckpointRoundTrip(t *testing.T) {
 				requireSameStats(t, coldStats, resumed.ResumeRun(stateMeasure, stateKernels, nil))
 			}
 		})
+	}
+}
+
+// hasPendingOp reports whether any warp in the snapshot holds an operation
+// parked by a structural stall.
+func hasPendingOp(st State) bool {
+	for _, s := range st.SMs {
+		for _, w := range s.Warps {
+			if w.HasPending {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestMidStallCheckpointRoundTrip saves SP, a memory-bound app, at kernel
+// boundaries where some warp holds a structurally stalled op. The SMs' and
+// slices' stall memos are not part of a snapshot, so the restored GPU must
+// rebuild them and still replay the cold run exactly.
+func TestMidStallCheckpointRoundTrip(t *testing.T) {
+	spec, ok := workload.ByAbbr("SP")
+	if !ok {
+		t.Fatal("unknown benchmark SP")
+	}
+	spec.Kernels = stateKernels
+	cfg := stateTestConfig(config.LLCShared)
+	// More warps than L1 MSHRs, so loads stall on a full table.
+	cfg.MaxWarpsPerSM = 16
+	cfg.SchedulersPerSM = 2
+
+	cold, err := New(cfg, workload.MustNewGenerator(spec, cfg, stateSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Warmup(stateWarmup)
+	var snaps []State
+	coldStats := cold.Run(stateMeasure, stateKernels, func(m int) {
+		st, err := cold.SaveState()
+		if err != nil {
+			t.Fatalf("boundary %d: %v", m, err)
+		}
+		if hasPendingOp(st) {
+			snaps = append(snaps, st)
+		}
+	})
+	if len(snaps) == 0 {
+		t.Fatal("no kernel boundary found a warp with a pending op")
+	}
+
+	for i, st := range snaps {
+		resumed, err := Restore(cfg, workload.MustNewGenerator(spec, cfg, stateSeed), gobRoundTrip(t, st))
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		again, err := resumed.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gobEncode(t, again), gobEncode(t, st)) {
+			t.Fatalf("snapshot %d: restored GPU saves a different encoding", i)
+		}
+		requireSameStats(t, coldStats, resumed.ResumeRun(stateMeasure, stateKernels, nil))
 	}
 }
 

@@ -106,8 +106,6 @@ type Slice struct {
 	mshrs   *cache.MSHRTable[*mem.Request]
 	latency uint64
 
-	cfg config.Config
-
 	// inq is the request queue fed by the NoC. The NoC's per-port
 	// serialization already limits arrival rate; the queue itself is
 	// unbounded and its occupancy is the paper's "requests queue up in front
@@ -121,6 +119,13 @@ type Slice struct {
 	// pool receives requests once the slice has fully answered them; shared
 	// with the SMs (see SM.UseRequestPool).
 	pool *pool.FreeList[mem.Request]
+
+	// stalled memoizes a head request stalled on a full MSHR table: until
+	// the table's stamp moves past stallStamp, the head cannot issue. The
+	// tags need no version: they change only when a request issues, or on
+	// Flush, SetWritePolicy and RestoreState, which clear the memo.
+	stalled    bool
+	stallStamp uint64
 
 	cycle uint64
 	stats Stats
@@ -141,7 +146,6 @@ func NewSlice(id, mc, local int, cfg config.Config) *Slice {
 		tags:    cache.New(tagCfg),
 		mshrs:   cache.NewMSHRTable[*mem.Request](cfg.LLCMSHRsPerSlice, 0),
 		latency: uint64(cfg.LLCLatency),
-		cfg:     cfg,
 		pool:    &pool.FreeList[mem.Request]{},
 	}
 }
@@ -189,6 +193,7 @@ func (s *Slice) SetWritePolicy(p cache.WritePolicy) {
 	}
 	cfg.Policy = p
 	s.tags = cache.New(cfg)
+	s.stalled = false
 }
 
 // WritePolicy returns the current store-handling policy.
@@ -222,6 +227,11 @@ func (s *Slice) Tick(cycle uint64) {
 	if s.inq.Len() == 0 {
 		return
 	}
+	if s.stalled && s.stallStamp == s.mshrs.Stamp() {
+		s.stats.MSHRStalls++
+		return
+	}
+	s.stalled = false
 	if !s.process(s.inq.Front()) {
 		return // stalled (MSHRs full); retry next cycle
 	}
@@ -234,8 +244,7 @@ func (s *Slice) process(r *mem.Request) bool {
 	lineAddr := s.tags.LineAddr(r.Addr)
 
 	// One MSHR lookup answers the merge question, the acceptance question
-	// and — if the read misses — performs the allocation (Probe/Commit;
-	// formerly Outstanding, CanAccept and Allocate each scanned the table).
+	// and — if the read misses — performs the allocation (Probe/Commit).
 	var probe cache.Probe
 	if !r.Write {
 		probe = s.mshrs.Probe(lineAddr)
@@ -243,6 +252,7 @@ func (s *Slice) process(r *mem.Request) bool {
 		// access outcome of its own.
 		if probe.Outstanding() {
 			if !probe.CanAccept() {
+				// Not memoized: each retry's Probe counts a merge-limit stall.
 				s.stats.MSHRStalls++
 				return false
 			}
@@ -257,6 +267,7 @@ func (s *Slice) process(r *mem.Request) bool {
 		// tags (and the statistics) if none is available.
 		if !s.tags.Probe(r.Addr) && !probe.CanAccept() {
 			s.stats.MSHRStalls++
+			s.stalled, s.stallStamp = true, s.mshrs.Stamp()
 			return false
 		}
 	}
@@ -388,5 +399,6 @@ func (s *Slice) UnpopReply(r mem.Reply) {
 // dirty lines. The caller accounts for the write-back time of dirty lines
 // during reconfiguration.
 func (s *Slice) Flush() (valid, dirty int) {
+	s.stalled = false
 	return s.tags.FlushAll()
 }

@@ -163,6 +163,87 @@ func TestMSHRStall(t *testing.T) {
 	}
 }
 
+// stallOnFullMSHRs returns a slice with 2 MSHRs, both holding misses (to
+// 0x1000 and 0x2000), and a read of 0x3000 stalled at its queue head, plus
+// the last cycle ticked.
+func stallOnFullMSHRs(tb testing.TB) (*Slice, uint64) {
+	tb.Helper()
+	cfg := config.Baseline().Normalize()
+	cfg.LLCMSHRsPerSlice = 2
+	s := NewSlice(0, 0, 0, cfg)
+	s.EnqueueRequest(req(1, 0x1000, 0, 0))
+	s.EnqueueRequest(req(2, 0x2000, 0, 0))
+	s.EnqueueRequest(req(3, 0x3000, 0, 0))
+	var cyc uint64
+	for cyc < 3 {
+		cyc++
+		s.Tick(cyc)
+		for {
+			if _, ok := s.PopDRAMRequest(); !ok {
+				break
+			}
+		}
+	}
+	if s.QueueLen() != 1 || s.Stats().MSHRStalls != 1 {
+		tb.Fatalf("queue %d, MSHR stalls %d; want the third read stalled once", s.QueueLen(), s.Stats().MSHRStalls)
+	}
+	return s, cyc
+}
+
+// TestMSHRStallCountExact checks that a memoized head stall counts exactly
+// one MSHR stall per Tick, and that the head issues on the first Tick after
+// DRAMComplete frees an entry.
+func TestMSHRStallCountExact(t *testing.T) {
+	s, cyc := stallOnFullMSHRs(t)
+	for i := 0; i < 50; i++ {
+		cyc++
+		before := s.Stats().MSHRStalls
+		s.Tick(cyc)
+		if got := s.Stats().MSHRStalls - before; got != 1 || s.QueueLen() != 1 {
+			t.Fatalf("cycle %d: %d MSHR stalls, queue %d; want 1 stall and the head still queued", cyc, got, s.QueueLen())
+		}
+	}
+	s.EnqueueRequest(req(4, 0x4000, 0, 0)) // arrivals behind the head change nothing
+	cyc++
+	s.Tick(cyc)
+	if s.QueueLen() != 2 {
+		t.Fatalf("queue length = %d, want 2 (head still stalled)", s.QueueLen())
+	}
+
+	stalls := s.Stats().MSHRStalls
+	s.DRAMComplete(0x1000)
+	cyc++
+	s.Tick(cyc)
+	if s.QueueLen() != 1 || s.Stats().MSHRStalls != stalls {
+		t.Fatalf("after DRAMComplete: queue %d, %d new stalls; want the head issued without a stall",
+			s.QueueLen(), s.Stats().MSHRStalls-stalls)
+	}
+	if d, ok := s.PopDRAMRequest(); !ok || d.Addr != 0x3000 || !d.Fill {
+		t.Errorf("issued head sent %+v (ok=%v), want a fill of 0x3000", d, ok)
+	}
+}
+
+// TestFlushAndRestoreClearStallMemo checks that Flush and RestoreState drop
+// the memoized head stall; the memo is never part of a snapshot.
+func TestFlushAndRestoreClearStallMemo(t *testing.T) {
+	s, _ := stallOnFullMSHRs(t)
+	if !s.stalled {
+		t.Fatal("no stall memo after a head stall")
+	}
+	s.Flush()
+	if s.stalled {
+		t.Error("Flush kept the stall memo")
+	}
+
+	s, _ = stallOnFullMSHRs(t)
+	if err := s.RestoreState(s.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	if s.stalled {
+		t.Error("RestoreState kept the stall memo")
+	}
+}
+
 func TestWriteBackMode(t *testing.T) {
 	s := newTestSlice(t)
 	if s.WritePolicy() != cache.WriteBack {
@@ -336,5 +417,22 @@ func TestStatsAddAndRates(t *testing.T) {
 	var zero Stats
 	if zero.MissRate() != 0 || zero.HitRate() != 0 {
 		t.Error("zero stats rates should be 0")
+	}
+}
+
+// BenchmarkSliceTickMSHRFull measures one slice cycle whose head request is
+// stalled on a full MSHR table.
+func BenchmarkSliceTickMSHRFull(b *testing.B) {
+	s, cyc := stallOnFullMSHRs(b)
+	before := s.Stats().MSHRStalls
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cyc++
+		s.Tick(cyc)
+	}
+	b.StopTimer()
+	if got := s.Stats().MSHRStalls - before; got != uint64(b.N) {
+		b.Fatalf("counted %d MSHR stalls, want %d", got, b.N)
 	}
 }

@@ -114,6 +114,7 @@ func (s *Slice) RestoreState(st SliceState) error {
 	for _, pr := range st.ReplyOut {
 		s.replyOut.PushBack(pendingReply{reply: pr.Reply, readyAt: pr.ReadyAt})
 	}
+	s.stalled = false
 	s.cycle = st.Cycle
 	s.stats = st.Stats
 	return nil

@@ -225,6 +225,46 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestInjectRefusesExactlyWhenCanInjectIsFalse drives every topology in
+// both directions with random packets and checks that Inject succeeds
+// exactly when CanInject said it would, and that each refusal counts one
+// InjectStallCycles, as Refuse does.
+func TestInjectRefusesExactlyWhenCanInjectIsFalse(t *testing.T) {
+	for _, topo := range allTopologies() {
+		for _, dir := range []Direction{Request, Reply} {
+			p := testParams(topo)
+			n := MustNew(p, dir)
+			numSrc, numDst := p.NumSMs, p.numSlices()
+			if dir == Reply {
+				numSrc, numDst = numDst, numSrc
+			}
+			rng := rand.New(rand.NewSource(1))
+			var refused uint64
+			for cyc := 0; cyc < 300; cyc++ {
+				for k := 0; k < 4*numSrc; k++ {
+					src, flits := rng.Intn(numSrc), 1+rng.Intn(5)
+					can := n.CanInject(src, flits)
+					ok := n.Inject(&Packet{Src: src, Dst: rng.Intn(numDst), Flits: flits})
+					if ok != can {
+						t.Fatalf("%v/%v: CanInject(%d, %d) = %v but Inject = %v", topo, dir, src, flits, can, ok)
+					}
+					if !ok {
+						refused++
+					}
+				}
+				n.Tick()
+			}
+			if topo != config.NoCIdeal && refused == 0 {
+				t.Errorf("%v/%v: no injection was refused; the load is too light to test refusals", topo, dir)
+			}
+			n.Refuse()
+			if got := n.Stats().InjectStallCycles; got != refused+1 {
+				t.Errorf("%v/%v: InjectStallCycles = %d, want %d refused injections + 1 Refuse", topo, dir, got, refused)
+			}
+		}
+	}
+}
+
 func TestBypassRequestNetwork(t *testing.T) {
 	p := testParams(config.NoCHierarchical)
 	n := MustNew(p, Request)

@@ -113,8 +113,13 @@ type Net interface {
 	// if the injection buffer lacks space; the caller must retry later.
 	Inject(p *Packet) bool
 	// CanInject reports whether a packet of the given flit count could be
-	// injected at source src this cycle.
+	// injected at source src this cycle: Inject refuses exactly when it is
+	// false.
 	CanInject(src, flits int) bool
+	// Refuse counts one refused injection (Stats.InjectStallCycles), for a
+	// caller that found CanInject false and skipped Inject. A refused Inject
+	// counts the same way.
+	Refuse()
 	// Tick advances the network by one cycle and returns packets that
 	// arrived at their destination this cycle.
 	Tick() []*Packet

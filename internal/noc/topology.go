@@ -397,6 +397,8 @@ func (n *idealNet) Inject(p *Packet) bool {
 
 func (n *idealNet) CanInject(src, flits int) bool { return true }
 
+func (n *idealNet) Refuse() { n.stats.InjectStallCycles++ }
+
 func (n *idealNet) Tick() []*Packet {
 	n.cycle++
 	n.out = n.out[:0]

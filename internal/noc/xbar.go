@@ -132,11 +132,11 @@ func (n *xbarNet) Inject(p *Packet) bool {
 	if p.Src < 0 || p.Src >= n.numSrc || p.Dst < 0 || p.Dst >= n.numDst {
 		panic(fmt.Sprintf("noc %s: endpoint out of range src=%d dst=%d", n.name, p.Src, p.Dst))
 	}
-	q := n.injQ[p.Src]
-	if q.freeFlits() < p.Flits || n.cycle < q.injBusyUntil {
-		n.stats.InjectStallCycles++
+	if !n.CanInject(p.Src, p.Flits) {
+		n.Refuse()
 		return false
 	}
+	q := n.injQ[p.Src]
 	p.InjectedAt = n.cycle
 	q.reserve(p.Flits)
 	q.pushReserved(p)
@@ -162,6 +162,9 @@ func (n *xbarNet) CanInject(src, flits int) bool {
 	q := n.injQ[src]
 	return q.freeFlits() >= flits && n.cycle >= q.injBusyUntil
 }
+
+// Refuse implements Net.
+func (n *xbarNet) Refuse() { n.stats.InjectStallCycles++ }
 
 // Pending implements Net.
 func (n *xbarNet) Pending() bool { return n.inflightCount > 0 }

@@ -80,11 +80,22 @@ type warp struct {
 	issued     uint64
 }
 
+// stallMemo records what a scheduler's structural stall depended on: the
+// L1 MSHR table's stamp and the request queue length. Until one of them
+// changes, retrying the stalled operation must stall again, so the retry
+// only counts the stall. The L1 needs no version of its own: its contents
+// change only on a load miss, and every load miss inserts an MSHR entry.
+type stallMemo struct {
+	valid   bool
+	stamp   uint64
+	outQLen int
+}
+
 // SM is one streaming multiprocessor.
 type SM struct {
-	id      int
-	cluster int
-	cfg     config.Config
+	id           int
+	cluster      int
+	l1HitLatency uint64
 
 	l1    *cache.Cache
 	mshrs *cache.MSHRTable[uint64] // payload: merged request IDs
@@ -93,6 +104,9 @@ type SM struct {
 	// current warp per scheduler for GTO scheduling; warps are statically
 	// partitioned across schedulers by slot index modulo scheduler count.
 	current []int
+	// stalled memoizes each scheduler's last structural stall (see
+	// stallMemo). It is derived state: never checkpointed, cleared on restore.
+	stalled []stallMemo
 
 	outQ    ring.Deque[*mem.Request]
 	outQCap int
@@ -125,15 +139,16 @@ func New(id, cluster int, cfg config.Config) *SM {
 		current[i] = -1
 	}
 	return &SM{
-		id:      id,
-		cluster: cluster,
-		cfg:     cfg,
-		l1:      l1,
-		mshrs:   cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0),
-		warps:   make([]warp, cfg.MaxWarpsPerSM),
-		current: current,
-		outQCap: 8,
-		pool:    &pool.FreeList[mem.Request]{},
+		id:           id,
+		cluster:      cluster,
+		l1HitLatency: uint64(cfg.L1HitLatency),
+		l1:           l1,
+		mshrs:        cache.NewMSHRTable[uint64](cfg.L1MSHRs, 0),
+		warps:        make([]warp, cfg.MaxWarpsPerSM),
+		current:      current,
+		stalled:      make([]stallMemo, nSched),
+		outQCap:      8,
+		pool:         &pool.FreeList[mem.Request]{},
 	}
 }
 
@@ -183,6 +198,16 @@ func (s *SM) Tick(cycle uint64, prog workload.Program) {
 
 // issueOne attempts to issue one instruction on behalf of scheduler `sched`.
 func (s *SM) issueOne(sched int, prog workload.Program) {
+	// A stalled warp stays ready and current under GTO, so while the memo
+	// matches, pickWarp would return it and its pending op would stall again.
+	m := &s.stalled[sched]
+	if m.valid {
+		if m.stamp == s.mshrs.Stamp() && m.outQLen == s.outQ.Len() {
+			s.stats.StallStructural++
+			return
+		}
+		m.valid = false
+	}
 	w := s.pickWarp(sched)
 	if w < 0 {
 		s.stats.StallNoReadyWarp++
@@ -238,11 +263,18 @@ func (s *SM) retire(w int) {
 	s.stats.Instructions++
 }
 
-// stall parks op on warp w for retry next cycle.
-func (s *SM) stall(w int, op workload.Op) {
+// park keeps op on warp w for retry next cycle.
+func (s *SM) park(w int, op workload.Op) {
 	s.warps[w].pending = op
 	s.warps[w].hasPending = true
 	s.stats.StallStructural++
+}
+
+// stall parks op and memoizes the versions the failed issue read, so the
+// retries that cannot succeed skip the MSHR scan and the L1 probe.
+func (s *SM) stall(w int, op workload.Op) {
+	s.park(w, op)
+	s.stalled[w%len(s.stalled)] = stallMemo{valid: true, stamp: s.mshrs.Stamp(), outQLen: s.outQ.Len()}
 }
 
 func (s *SM) issueStore(w int, op workload.Op) {
@@ -266,14 +298,14 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	lineAddr := s.l1.LineAddr(op.Addr)
 
 	// One MSHR lookup answers the merge question, the acceptance question
-	// and — if the access misses — performs the allocation (Probe/Commit;
-	// formerly Outstanding, CanAccept and Allocate each scanned the table).
+	// and — if the access misses — performs the allocation (Probe/Commit).
 	probe := s.mshrs.Probe(lineAddr)
 
 	// Merge into an outstanding miss if one exists for this line.
 	if probe.Outstanding() {
 		if !probe.CanAccept() {
-			s.stall(w, op)
+			// Not memoized: each retry's Probe counts a merge-limit stall.
+			s.park(w, op)
 			return
 		}
 		s.mshrs.Commit(probe, s.reqCounter)
@@ -299,7 +331,7 @@ func (s *SM) issueLoad(w int, op workload.Op) {
 	s.stats.Loads++
 	if res.Hit {
 		s.stats.L1Hits++
-		s.warps[w].readyAt = s.cycle + uint64(s.cfg.L1HitLatency)
+		s.warps[w].readyAt = s.cycle + s.l1HitLatency
 		return
 	}
 	s.stats.L1Misses++

@@ -91,6 +91,7 @@ func (s *SM) RestoreState(st State) error {
 		}
 	}
 	copy(s.current, st.Current)
+	clear(s.stalled)
 	s.outQ.Clear()
 	for i := range st.OutQ {
 		r := s.pool.Get()
